@@ -10,7 +10,8 @@
  * envelope*. One document, three comparison classes:
  *
  *  - `pinned` — exact-match fields (outcome digest, request counts,
- *    trace span counts, metric counters, kernel variant). The bench
+ *    engine health counters, trace span counts, metric counters,
+ *    kernel variant). The bench
  *    forces scalar kernels so these are machine-invariant; any drift
  *    is a real behavior change.
  *  - `virtual` — virtual-clock doubles (throughput, percentiles,
@@ -468,6 +469,9 @@ int main(int argc, char** argv) {
   json.Key("rejected").Int(result.rejected);
   json.Key("completed").Int(result.completed);
   json.Key("streaming_histograms").Int(result.streaming_histograms);
+  json.Key("events_processed").Int(result.events_processed);
+  json.Key("event_heap_high_water").Int(result.event_heap_high_water);
+  json.Key("decode_steps").Int(result.decode_steps);
   json.Key("trace_spans").Int(trace_spans);
   json.Key("trace_instants").Int(trace_instants);
   json.Key("trace_counters").Int(trace_counters);

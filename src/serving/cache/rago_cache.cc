@@ -1,25 +1,9 @@
 #include "serving/cache/rago_cache.h"
 
-#include <cstring>
-
 #include "common/check.h"
+#include "common/fnv.h"
 
 namespace rago::cache {
-namespace {
-
-/// FNV-1a 64-bit fold of an arbitrary byte span.
-uint64_t FnvFold(uint64_t hash, const void* bytes, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-
-}  // namespace
 
 void
 CacheOptions::Validate() const {

@@ -38,11 +38,15 @@
 #define RAGO_SERVING_OBS_TRACE_H
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/json_writer.h"
 
 namespace rago::obs {
@@ -66,9 +70,16 @@ struct TraceSamplingOptions {
   void Validate() const;
 };
 
-/// One recorded trace event (virtual-clock seconds).
+/// An interned string (event name, category or arg key) of one
+/// TraceRecorder; see TraceRecorder::Intern.
+struct TraceName {
+  uint32_t id = 0;
+};
+
+/// One recorded trace event (virtual-clock seconds), in the
+/// string-bearing form TraceRecorder::events() returns.
 struct TraceEvent {
-  enum class Phase {
+  enum class Phase : uint8_t {
     kComplete,  ///< Duration span ("X" in the trace-event format).
     kInstant,   ///< Point event ("i").
     kCounter,   ///< Counter sample ("C"): value tracks over time.
@@ -90,9 +101,52 @@ struct TraceEvent {
  * Append-only event log with named tracks. The runtime and the DES
  * write through the pointer in their options struct; tests and tools
  * read back either export. Reusable across runs via Clear().
+ *
+ * Storage is compact: names, categories and arg keys are interned
+ * once, and each event is a fixed-size record with its numeric args
+ * inline, so recording allocates nothing per event. Under sampling,
+ * a request's events buffer in a pending slot found through a flat
+ * table indexed by request id, and slots are reused once the request
+ * is finalized. Strings are built only for what survives: a committed
+ * request's "req N" track name at commit, and event names when an
+ * export or events() reads them.
  */
 class TraceRecorder {
+ private:
+  struct Record;
+
  public:
+  /// Numeric args one event can carry.
+  static constexpr int kMaxArgs = 3;
+
+  /// The event just appended; valid until the next append.
+  class EventRef {
+   public:
+    /// Attaches a numeric arg; throws ConfigError past kMaxArgs.
+    EventRef& Arg(TraceName key, double value);
+    EventRef& Arg(std::string_view key, double value) {
+      return Arg(recorder_->Intern(key), value);
+    }
+
+   private:
+    friend class TraceRecorder;
+    EventRef(TraceRecorder* recorder, Record* record, size_t committed)
+        : recorder_(recorder), record_(record), committed_(committed) {}
+
+    TraceRecorder* recorder_;
+    Record* record_;
+    size_t committed_;  ///< Index in the committed log, or kPending.
+  };
+
+  TraceRecorder();
+  // Interned views and live EventRefs point into this recorder.
+  TraceRecorder(const TraceRecorder&) = delete;
+  TraceRecorder& operator=(const TraceRecorder&) = delete;
+
+  /// Returns the stable id of `text`, adding it on first use. Engines
+  /// intern their closed set of names once and record by id.
+  TraceName Intern(std::string_view text);
+
   /// Names a pid group ("servers", "requests").
   void SetProcessName(int pid, std::string name);
   /// Names one track within a pid group ("server 0 (xpu)", "req 7").
@@ -100,19 +154,38 @@ class TraceRecorder {
   /// id) defer with the request's events so unsampled requests leave
   /// no metadata behind.
   void SetThreadName(int pid, int tid, std::string name);
+  /// Names request `request_id`'s track (pid 1) "req <id>". Under
+  /// sampling the name is built only if the request commits.
+  void NameRequestTrack(int64_t request_id);
 
-  /// Appends a duration span; the returned reference stays valid until
-  /// the next append and accepts arg attachment.
-  TraceEvent& AddComplete(std::string name, std::string category, int pid,
-                          int tid, double start, double duration,
-                          int64_t request_id = -1);
+  /// Appends a duration span; the returned ref accepts args.
+  EventRef AddComplete(TraceName name, TraceName category, int pid, int tid,
+                       double start, double duration,
+                       int64_t request_id = -1);
+  EventRef AddComplete(std::string_view name, std::string_view category,
+                       int pid, int tid, double start, double duration,
+                       int64_t request_id = -1) {
+    return AddComplete(Intern(name), Intern(category), pid, tid, start,
+                       duration, request_id);
+  }
   /// Appends a point event.
-  TraceEvent& AddInstant(std::string name, std::string category, int pid,
-                         int tid, double time, int64_t request_id = -1);
+  EventRef AddInstant(TraceName name, TraceName category, int pid, int tid,
+                      double time, int64_t request_id = -1);
+  EventRef AddInstant(std::string_view name, std::string_view category,
+                      int pid, int tid, double time,
+                      int64_t request_id = -1) {
+    return AddInstant(Intern(name), Intern(category), pid, tid, time,
+                      request_id);
+  }
   /// Appends a counter sample ("C" event): `name` identifies the
   /// counter track within `pid`, `value` its level at `time`.
-  TraceEvent& AddCounter(std::string name, std::string category, int pid,
-                         int tid, double time, double value);
+  EventRef AddCounter(TraceName name, TraceName category, int pid, int tid,
+                      double time, double value);
+  EventRef AddCounter(std::string_view name, std::string_view category,
+                      int pid, int tid, double time, double value) {
+    return AddCounter(Intern(name), Intern(category), pid, tid, time,
+                      value);
+  }
 
   /**
    * Enables deterministic sampling. Must be called while the recorder
@@ -145,12 +218,19 @@ class TraceRecorder {
   int64_t sampled_requests() const { return sampled_requests_; }
   int64_t discarded_requests() const { return discarded_requests_; }
   /// Requests currently buffered (not yet finalized) / in the ring.
-  size_t pending_requests() const { return pending_.size(); }
+  size_t pending_requests() const { return open_requests_; }
   size_t tail_kept() const { return tail_.size(); }
 
-  size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
-  const std::vector<TraceEvent>& events() const { return events_; }
+  size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  /// The committed events in string-bearing form, built on first read
+  /// and extended as the log grows.
+  const std::vector<TraceEvent>& events() const;
+  /// Events built into TraceEvent form since construction or Clear():
+  /// a deterministic count of string work. Recording and both exports
+  /// build none; events() and EventsForRequest build each committed
+  /// event once.
+  int64_t materialized_events() const { return materialized_events_; }
 
   /// Events recorded for one request id, in recorded order.
   std::vector<const TraceEvent*> EventsForRequest(int64_t request_id) const;
@@ -174,36 +254,85 @@ class TraceRecorder {
   std::string RequestSummaryJson() const;
 
  private:
-  /// Per-request buffer while sampling defers the commit decision.
-  struct PendingRequest {
-    std::string thread_name;  ///< Deferred pid-1 track name, if any.
-    std::vector<TraceEvent> events;
+  static constexpr size_t kPending = static_cast<size_t>(-1);
+
+  /// One event: interned strings, args inline, no heap storage.
+  struct Record {
+    double start = 0.0;
+    double duration = 0.0;
+    double arg_values[kMaxArgs] = {};
+    int64_t request_id = -1;
+    int pid = 0;
+    int tid = 0;
+    uint32_t name = 0;
+    uint32_t category = 0;
+    uint32_t arg_keys[kMaxArgs] = {};
+    TraceEvent::Phase phase = TraceEvent::Phase::kComplete;
+    uint8_t num_args = 0;
+  };
+  /// A request's buffered events while sampling defers the commit
+  /// decision. Slots are recycled, keeping their buffer's capacity.
+  struct PendingSlot {
+    bool default_track_name = false;  ///< NameRequestTrack was called.
+    std::string thread_name;          ///< Explicit pid-1 track name.
+    std::vector<Record> events;
   };
   /// Tail-keep candidate: a finalized, non-head-sampled request.
   struct TailEntry {
     int64_t request_id = 0;
     double score = 0.0;
     bool slo_violation = false;
-    PendingRequest request;
+    int32_t slot = -1;  ///< Its buffered events, or -1 when none.
   };
 
   /// True when `a` outranks `b` for a tail-keep slot.
   static bool TailWorse(const TailEntry& a, const TailEntry& b);
-  TraceEvent& Append(TraceEvent event);
-  void Commit(int64_t request_id, PendingRequest request);
+  EventRef Append(const Record& record);
+  /// The open slot of `request_id`, claiming one when it has none.
+  PendingSlot& OpenSlot(int64_t request_id);
+  /// Commits `slot` (may be -1) as request `request_id`'s events.
+  void Commit(int64_t request_id, int32_t slot);
+  void ReleaseSlot(int32_t slot);
+  TraceEvent Materialize(const Record& record) const;
+  const std::string& Text(uint32_t id) const { return strings_[id]; }
 
-  std::vector<TraceEvent> events_;
+  // Interned strings; `ids_` views point into `strings_`, whose
+  // elements never move.
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, uint32_t> ids_;
+  TraceName value_key_;  ///< The counter arg key, "value".
+
+  std::vector<Record> records_;  ///< The committed log.
+  mutable std::vector<TraceEvent> materialized_;
+  mutable int64_t materialized_events_ = 0;
   std::map<int, std::string> process_names_;
   std::map<std::pair<int, int>, std::string> thread_names_;
 
   TraceSamplingOptions sampling_;
   bool sampling_active_ = false;
-  std::map<int64_t, PendingRequest> pending_;
+  std::vector<int32_t> slot_of_;  ///< Request id -> open slot, or -1.
+  std::vector<PendingSlot> slots_;
+  std::vector<int32_t> free_slots_;
+  size_t open_requests_ = 0;
   std::vector<TailEntry> tail_;  ///< Kept sorted worst-first, size <= K.
   int64_t finalized_requests_ = 0;
   int64_t sampled_requests_ = 0;
   int64_t discarded_requests_ = 0;
 };
+
+inline TraceRecorder::EventRef&
+TraceRecorder::EventRef::Arg(TraceName key, double value) {
+  RAGO_REQUIRE(record_->num_args < kMaxArgs,
+               "a trace event carries at most 3 args");
+  record_->arg_keys[record_->num_args] = key.id;
+  record_->arg_values[record_->num_args] = value;
+  ++record_->num_args;
+  // A view built before this arg landed is stale from here on.
+  if (committed_ < recorder_->materialized_.size()) {
+    recorder_->materialized_.resize(committed_);
+  }
+  return *this;
+}
 
 }  // namespace rago::obs
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <map>
@@ -10,8 +9,10 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "core/stage.h"
+#include "serving/runtime/decode_pool.h"
 
 namespace rago::runtime {
 namespace {
@@ -26,34 +27,6 @@ double SecondsSince(Clock::time_point start) {
   // time or control flow. rago-lint: allow(wallclock)
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-/// FNV-1a 64-bit fold of an arbitrary byte span.
-uint64_t FnvFold(uint64_t hash, const void* bytes, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-uint64_t FnvFoldU64(uint64_t hash, uint64_t value) {
-  return FnvFold(hash, &value, sizeof(value));
-}
-
-uint64_t FnvFoldDouble(uint64_t hash, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return FnvFoldU64(hash, bits);
-}
-
-uint64_t FnvFoldFloat(uint64_t hash, float value) {
-  uint32_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return FnvFoldU64(hash, bits);
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
 /// One request waiting in a stage queue.
 struct QueueEntry {
@@ -275,6 +248,36 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     trace->SetThreadName(0, retrieval_server, "retrieval servers");
     trace->SetThreadName(0, decode_row, "decode pool");
   }
+  // Names recorded per request or per step, interned once so the
+  // event loop records by id.
+  struct TraceNames {
+    obs::TraceName admission, arrival, rejected, stage, queue, cache,
+        cache_hit, first_token, decode_step, decode, request, active,
+        batch, latency, real_scan;
+    std::vector<obs::TraceName> queue_of, exec_of;  ///< Per stage.
+  } names;
+  if (trace != nullptr) {
+    names.admission = trace->Intern("admission");
+    names.arrival = trace->Intern("arrival");
+    names.rejected = trace->Intern("rejected");
+    names.stage = trace->Intern("stage");
+    names.queue = trace->Intern("queue");
+    names.cache = trace->Intern("cache");
+    names.cache_hit = trace->Intern("retrieval-cache-hit");
+    names.first_token = trace->Intern("first-token");
+    names.decode_step = trace->Intern("decode-step");
+    names.decode = trace->Intern("decode");
+    names.request = trace->Intern("request");
+    names.active = trace->Intern("active");
+    names.batch = trace->Intern("batch");
+    names.latency = trace->Intern("latency");
+    names.real_scan = trace->Intern("real_scan_wall_s");
+    for (const ExecStage& stage : stages) {
+      const std::string stage_name = core::StageName(stage.type);
+      names.queue_of.push_back(trace->Intern("queue:" + stage_name));
+      names.exec_of.push_back(trace->Intern("exec:" + stage_name));
+    }
+  }
 
   // --- Windowed telemetry, burn-rate alerting, flight recorder (all
   // opt-in; driven on the virtual clock from the serial loop, so every
@@ -336,12 +339,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
 
   std::vector<double> server_busy_until(static_cast<size_t>(num_servers),
                                         0.0);
-  std::deque<int> decode_waiting;
-  struct ActiveSeq {
-    int id = 0;
-    int tokens = 0;
-  };
-  std::vector<ActiveSeq> decode_active;
+  DecodePool decode_pool(schedule_.decode_batch, decode_tokens);
   double decode_busy_time = 0.0;
   bool step_scheduled = false;
   uint64_t digest = kFnvOffset;
@@ -390,12 +388,12 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
                          transition.short_burn);
         }
         if (trace != nullptr) {
-          obs::TraceEvent& instant = trace->AddInstant(
-              "alert:" + rule_name +
-                  (transition.firing ? ":firing" : ":clear"),
-              "alert", 0, alert_row, transition.time);
-          instant.args.emplace_back("short_burn", transition.short_burn);
-          instant.args.emplace_back("long_burn", transition.long_burn);
+          trace
+              ->AddInstant("alert:" + rule_name +
+                               (transition.firing ? ":firing" : ":clear"),
+                           "alert", 0, alert_row, transition.time)
+              .Arg("short_burn", transition.short_burn)
+              .Arg("long_burn", transition.long_burn);
         }
         if (alerts->options().fold_into_digest) {
           digest = FnvFoldDouble(digest, transition.time);
@@ -534,9 +532,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
           outcome.queue_wait += wait;
           hit_fraction_sum += outcome.prefix_hit_fraction;
           if (trace != nullptr) {
-            trace->AddComplete(
-                std::string("queue:") + core::StageName(stage.type),
-                "queue", 1, entry.id, entry.enqueued, wait, entry.id);
+            trace->AddComplete(names.queue_of[s], names.queue, 1, entry.id,
+                               entry.enqueued, wait, entry.id);
           }
         }
         stage.queue.erase(stage.queue.begin(),
@@ -572,21 +569,20 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         if (trace != nullptr) {
           // Server row: occupancy (interval); request rows: the
           // batch's completion latency each member experiences.
-          obs::TraceEvent& span = trace->AddComplete(
-              std::string(core::StageName(stage.type)) + " x" +
-                  std::to_string(take),
-              "stage", 0, stage.server, now, interval);
-          span.args.emplace_back("batch", static_cast<double>(take));
-          span.args.emplace_back("latency", latency);
+          const obs::TraceName batch_name =
+              trace->Intern(std::string(core::StageName(stage.type)) + " x" +
+                            std::to_string(take));
+          obs::TraceRecorder::EventRef span = trace->AddComplete(
+              batch_name, names.stage, 0, stage.server, now, interval);
+          span.Arg(names.batch, static_cast<double>(take))
+              .Arg(names.latency, latency);
           if (s == retrieval_stage_index) {
-            span.args.emplace_back(
-                "real_scan_wall_s",
-                result.real_scan_seconds - scan_seconds_before);
+            span.Arg(names.real_scan,
+                     result.real_scan_seconds - scan_seconds_before);
           }
           for (int id : batch.members) {
-            trace->AddComplete(
-                std::string("exec:") + core::StageName(stage.type),
-                "stage", 1, id, now, latency, id);
+            trace->AddComplete(names.exec_of[s], names.stage, 1, id, now,
+                               latency, id);
           }
         }
         record_timeline(s);
@@ -632,8 +628,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
             .retrieval_cache_hit = true;
         record_retrieval(request, cached->neighbors);
         if (trace != nullptr) {
-          trace->AddComplete("retrieval-cache-hit", "cache", 1, request,
-                             now, options_.cache.lookup_seconds, request);
+          trace->AddComplete(names.cache_hit, names.cache, 1, request, now,
+                             options_.cache.lookup_seconds, request);
         }
         events.push(Event{now + options_.cache.lookup_seconds, 4,
                           request});
@@ -653,15 +649,10 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   };
 
   auto admit_decode = [&]() {
-    while (static_cast<int64_t>(decode_active.size()) <
-               schedule_.decode_batch &&
-           !decode_waiting.empty()) {
-      const int id = decode_waiting.front();
-      decode_waiting.pop_front();
+    decode_pool.Admit([&](int id) {
       result.requests[static_cast<size_t>(id)].decode_start = now;
-      decode_active.push_back(ActiveSeq{id, 0});
-    }
-    if (!decode_active.empty() && !step_scheduled) {
+    });
+    if (decode_pool.active() > 0 && !step_scheduled) {
       events.push(Event{now + step_latency, 3, 0});
       step_scheduled = true;
       decode_busy_time += step_latency;
@@ -682,13 +673,14 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
           RequestOutcome& outcome =
               result.requests[static_cast<size_t>(id)];
           outcome.ttft = now - outcome.arrival;
-          decode_waiting.push_back(id);
+          decode_pool.Enqueue(id);
           if (trace != nullptr) {
-            trace->AddInstant("first-token", "stage", 1, id, now, id);
+            trace->AddInstant(names.first_token, names.stage, 1, id, now,
+                              id);
           }
           result.max_decode_queue_depth =
               std::max(result.max_decode_queue_depth,
-                       static_cast<int>(decode_waiting.size()));
+                       static_cast<int>(decode_pool.waiting()));
         }
       }
       in_flight.erase(in_flight.begin() + static_cast<long>(b));
@@ -701,47 +693,35 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     step_scheduled = false;
     if (trace != nullptr) {
       // The step that just finished occupied [now - step, now].
-      obs::TraceEvent& span = trace->AddComplete(
-          "decode-step", "stage", 0, decode_row, now - step_latency,
-          step_latency);
-      span.args.emplace_back("active",
-                             static_cast<double>(decode_active.size()));
+      trace
+          ->AddComplete(names.decode_step, names.stage, 0, decode_row,
+                        now - step_latency, step_latency)
+          .Arg(names.active, static_cast<double>(decode_pool.active()));
     }
-    std::vector<ActiveSeq> still;
-    still.reserve(decode_active.size());
-    for (ActiveSeq& seq : decode_active) {
-      if (++seq.tokens >= decode_tokens) {
-        RequestOutcome& outcome =
-            result.requests[static_cast<size_t>(seq.id)];
-        outcome.completion = now;
-        outcome.tpot = (now - outcome.decode_start) / decode_tokens;
-        ++completed;
-        // Same predicate the end-of-run aggregation applies; computed
-        // here so windowed telemetry sees the verdict at completion
-        // time.
-        const bool within_slo_now =
-            outcome.ttft <= options_.slo.ttft_seconds &&
-            outcome.tpot <= options_.slo.tpot_seconds;
-        if (series != nullptr) {
-          series->RecordCompletion(now, outcome.ttft, outcome.tpot,
-                                   outcome.queue_wait, within_slo_now);
-        }
-        if (trace != nullptr) {
-          trace->AddComplete("decode", "stage", 1, seq.id,
-                             outcome.decode_start,
-                             now - outcome.decode_start, seq.id);
-          trace->AddComplete("request", "request", 1, seq.id,
-                             outcome.arrival, now - outcome.arrival,
-                             seq.id);
-          // Terminal: seal for sampling, scored by end-to-end latency.
-          trace->FinalizeRequest(seq.id, now - outcome.arrival,
-                                 !within_slo_now);
-        }
-      } else {
-        still.push_back(seq);
+    decode_pool.Step([&](int id) {
+      RequestOutcome& outcome = result.requests[static_cast<size_t>(id)];
+      outcome.completion = now;
+      outcome.tpot = (now - outcome.decode_start) / decode_tokens;
+      ++completed;
+      // Same predicate the end-of-run aggregation applies; computed
+      // here so windowed telemetry sees the verdict at completion time.
+      const bool within_slo_now =
+          outcome.ttft <= options_.slo.ttft_seconds &&
+          outcome.tpot <= options_.slo.tpot_seconds;
+      if (series != nullptr) {
+        series->RecordCompletion(now, outcome.ttft, outcome.tpot,
+                                 outcome.queue_wait, within_slo_now);
       }
-    }
-    decode_active = std::move(still);
+      if (trace != nullptr) {
+        trace->AddComplete(names.decode, names.stage, 1, id,
+                           outcome.decode_start, now - outcome.decode_start,
+                           id);
+        trace->AddComplete(names.request, names.request, 1, id,
+                           outcome.arrival, now - outcome.arrival, id);
+        // Terminal: seal for sampling, scored by end-to-end latency.
+        trace->FinalizeRequest(id, now - outcome.arrival, !within_slo_now);
+      }
+    });
     admit_decode();
   };
 
@@ -762,10 +742,20 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     }
   } flight_abort_guard{flight, &options_.flight_dump_path, &now};
 
-  // --- Main loop. ---
-  while (!events.empty()) {
+  // Pops the next event, tracking the heap's high-water mark (the heap
+  // is largest just before a pop: pushes happen between pops).
+  auto pop_event = [&]() {
+    result.event_heap_high_water = std::max(
+        result.event_heap_high_water, static_cast<int64_t>(events.size()));
+    ++result.events_processed;
     const Event event = events.top();
     events.pop();
+    return event;
+  };
+
+  // --- Main loop. ---
+  while (!events.empty()) {
+    const Event event = pop_event();
     now = std::max(now, event.time);
     advance_telemetry();
 
@@ -787,10 +777,9 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
                            static_cast<double>(stages[0].queue.size()));
           }
           if (trace != nullptr) {
-            trace->SetThreadName(1, event.a,
-                                 "req " + std::to_string(event.a));
-            trace->AddInstant("rejected", "admission", 1, event.a, now,
-                              event.a);
+            trace->NameRequestTrack(event.a);
+            trace->AddInstant(names.rejected, names.admission, 1, event.a,
+                              now, event.a);
             // A rejection is terminal: seal the request for sampling
             // (it scores as an SLO violation with zero latency).
             trace->FinalizeRequest(event.a, 0.0, /*slo_violation=*/true);
@@ -802,10 +791,9 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
             series->RecordOffered(now, /*admitted=*/true);
           }
           if (trace != nullptr) {
-            trace->SetThreadName(1, event.a,
-                                 "req " + std::to_string(event.a));
-            trace->AddInstant("arrival", "admission", 1, event.a, now,
-                              event.a);
+            trace->NameRequestTrack(event.a);
+            trace->AddInstant(names.arrival, names.admission, 1, event.a,
+                              now, event.a);
           }
           enter_stage(0, event.a);
         }
@@ -838,8 +826,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     if (events.empty()) {
       break;
     }
-    const Event event = events.top();
-    events.pop();
+    const Event event = pop_event();
     now = std::max(now, event.time);
     advance_telemetry();
     if (event.kind == 1) {
@@ -853,6 +840,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   RAGO_CHECK(completed == result.admitted,
              "serving runtime failed to drain all admitted requests");
   result.completed = completed;
+  result.decode_steps = decode_pool.steps();
 
   // --- Seal the observation layer at virtual end-of-run. ---
   if (series != nullptr) {
@@ -907,13 +895,14 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
       const StageTelemetry& telemetry = result.stages[s];
       const std::string label = std::string(core::StageName(telemetry.type)) +
                                 " s" + std::to_string(s);
+      const obs::TraceName depth_name = trace->Intern("queue-depth: " + label);
+      const obs::TraceName util_name = trace->Intern("utilization: " + label);
+      const obs::TraceName category = trace->Intern("telemetry");
       for (const StageTimelinePoint& point : telemetry.timeline) {
-        trace->AddCounter("queue-depth: " + label, "telemetry", 0,
-                          static_cast<int>(s), point.time,
-                          static_cast<double>(point.queue_depth));
-        trace->AddCounter("utilization: " + label, "telemetry", 0,
-                          static_cast<int>(s), point.time,
-                          point.utilization);
+        trace->AddCounter(depth_name, category, 0, static_cast<int>(s),
+                          point.time, static_cast<double>(point.queue_depth));
+        trace->AddCounter(util_name, category, 0, static_cast<int>(s),
+                          point.time, point.utilization);
       }
     }
   }

@@ -250,6 +250,13 @@ struct RuntimeResult {
    */
   int streaming_histograms = 0;
 
+  /// Engine health (virtual, thread-count invariant): events popped
+  /// from the scheduler heap, the heap's largest size, and decode
+  /// steps executed.
+  int64_t events_processed = 0;
+  int64_t event_heap_high_water = 0;
+  int64_t decode_steps = 0;
+
   /// Real-scan accounting (host wall clock; *not* covered by the
   /// determinism contract, unlike everything above).
   double real_scan_seconds = 0.0;

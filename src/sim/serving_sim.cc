@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/histogram.h"
 #include "core/stage.h"
+#include "serving/runtime/decode_pool.h"
 
 namespace rago::sim {
 namespace {
@@ -151,6 +152,34 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
     recorder->SetThreadName(0, retrieval_server, "retrieval servers");
     recorder->SetThreadName(0, decode_row, "decode pool");
   }
+  // Names recorded per request, per step or per queue change, interned
+  // once so the event loop records by id.
+  struct TraceNames {
+    obs::TraceName admission, arrival, stage, queue, telemetry,
+        first_token, decode_step, decode, request, active, batch, latency;
+    std::vector<obs::TraceName> queue_of, exec_of, depth_of;  ///< Per stage.
+  } names;
+  if (recorder != nullptr) {
+    names.admission = recorder->Intern("admission");
+    names.arrival = recorder->Intern("arrival");
+    names.stage = recorder->Intern("stage");
+    names.queue = recorder->Intern("queue");
+    names.telemetry = recorder->Intern("telemetry");
+    names.first_token = recorder->Intern("first-token");
+    names.decode_step = recorder->Intern("decode-step");
+    names.decode = recorder->Intern("decode");
+    names.request = recorder->Intern("request");
+    names.active = recorder->Intern("active");
+    names.batch = recorder->Intern("batch");
+    names.latency = recorder->Intern("latency");
+    for (size_t s = 0; s < stages.size(); ++s) {
+      const std::string stage_name = core::StageName(stages[s].type);
+      names.queue_of.push_back(recorder->Intern("queue:" + stage_name));
+      names.exec_of.push_back(recorder->Intern("exec:" + stage_name));
+      names.depth_of.push_back(recorder->Intern(
+          "queue-depth: " + stage_name + " s" + std::to_string(s)));
+    }
+  }
 
   // --- Windowed telemetry, burn-rate alerting, flight recorder (all
   // opt-in and observation-only; driven on the virtual clock from the
@@ -178,12 +207,7 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
                                         0.0);
   std::vector<double> server_busy_time(static_cast<size_t>(num_servers),
                                        0.0);
-  std::deque<int> decode_waiting;
-  struct ActiveSeq {
-    int id = 0;
-    int tokens = 0;
-  };
-  std::vector<ActiveSeq> decode_active;
+  runtime::DecodePool decode_pool(schedule.decode_batch, decode_tokens);
   double decode_busy_time = 0.0;
   bool step_scheduled = false;
 
@@ -232,12 +256,12 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
                          transition.short_burn);
         }
         if (recorder != nullptr) {
-          obs::TraceEvent& instant = recorder->AddInstant(
-              "alert:" + rule_name +
-                  (transition.firing ? ":firing" : ":clear"),
-              "alert", 0, alert_row, transition.time);
-          instant.args.emplace_back("short_burn", transition.short_burn);
-          instant.args.emplace_back("long_burn", transition.long_burn);
+          recorder
+              ->AddInstant("alert:" + rule_name +
+                               (transition.firing ? ":firing" : ":clear"),
+                           "alert", 0, alert_row, transition.time)
+              .Arg("short_burn", transition.short_burn)
+              .Arg("long_burn", transition.long_burn);
         }
       }
     }
@@ -262,11 +286,9 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
       series->RecordQueueDepth(now, static_cast<int>(s), depth);
     }
     if (recorder != nullptr) {
-      recorder->AddCounter(
-          std::string("queue-depth: ") + core::StageName(stages[s].type) +
-              " s" + std::to_string(s),
-          "telemetry", 0, static_cast<int>(s), now,
-          static_cast<double>(depth));
+      recorder->AddCounter(names.depth_of[s], names.telemetry, 0,
+                           static_cast<int>(s), now,
+                           static_cast<double>(depth));
     }
   };
 
@@ -304,21 +326,21 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
           series->RecordBusy(now, static_cast<int>(s), stage.interval);
         }
         if (recorder != nullptr) {
-          obs::TraceEvent& span = recorder->AddComplete(
-              std::string(core::StageName(stage.type)) + " x" +
-                  std::to_string(take),
-              "stage", 0, stage.server, now, stage.interval);
-          span.args.emplace_back("batch", static_cast<double>(take));
-          span.args.emplace_back("latency", stage.latency);
+          const obs::TraceName batch_name =
+              recorder->Intern(std::string(core::StageName(stage.type)) +
+                               " x" + std::to_string(take));
+          recorder
+              ->AddComplete(batch_name, names.stage, 0, stage.server, now,
+                            stage.interval)
+              .Arg(names.batch, static_cast<double>(take))
+              .Arg(names.latency, stage.latency);
           for (size_t i = 0; i < take; ++i) {
             const int id = batch.members[i];
             const double enqueued = stage.enqueue_times[i];
-            recorder->AddComplete(
-                std::string("queue:") + core::StageName(stage.type),
-                "queue", 1, id, enqueued, now - enqueued, id);
-            recorder->AddComplete(
-                std::string("exec:") + core::StageName(stage.type),
-                "stage", 1, id, now, stage.latency, id);
+            recorder->AddComplete(names.queue_of[s], names.queue, 1, id,
+                                  enqueued, now - enqueued, id);
+            recorder->AddComplete(names.exec_of[s], names.stage, 1, id, now,
+                                  stage.latency, id);
           }
           stage.enqueue_times.erase(
               stage.enqueue_times.begin(),
@@ -352,15 +374,10 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
   };
 
   auto admit_decode = [&]() {
-    while (static_cast<int64_t>(decode_active.size()) <
-               schedule.decode_batch &&
-           !decode_waiting.empty()) {
-      const int id = decode_waiting.front();
-      decode_waiting.pop_front();
+    decode_pool.Admit([&](int id) {
       requests[static_cast<size_t>(id)].decode_start = now;
-      decode_active.push_back(ActiveSeq{id, 0});
-    }
-    if (!decode_active.empty() && !step_scheduled) {
+    });
+    if (decode_pool.active() > 0 && !step_scheduled) {
       events.push(Event{now + step_latency, 3, 0});
       step_scheduled = true;
       decode_busy_time += step_latency;
@@ -371,49 +388,38 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
     step_scheduled = false;
     if (recorder != nullptr) {
       // The step that just finished occupied [now - step, now].
-      obs::TraceEvent& span = recorder->AddComplete(
-          "decode-step", "stage", 0, decode_row, now - step_latency,
-          step_latency);
-      span.args.emplace_back("active",
-                             static_cast<double>(decode_active.size()));
+      recorder
+          ->AddComplete(names.decode_step, names.stage, 0, decode_row,
+                        now - step_latency, step_latency)
+          .Arg(names.active, static_cast<double>(decode_pool.active()));
     }
-    std::vector<ActiveSeq> still;
-    still.reserve(decode_active.size());
-    for (ActiveSeq& seq : decode_active) {
-      if (++seq.tokens >= decode_tokens) {
-        Request& request = requests[static_cast<size_t>(seq.id)];
-        request.completion = now;
-        ++completed;
-        const double tpot =
-            (request.completion - request.decode_start) / decode_tokens;
-        // <= 0 disables a bound; the sim does not attribute
-        // per-request queue wait, so the windowed queue-wait
-        // histogram stays empty here (the runtime fills it).
-        const bool within_slo =
-            (options.slo_ttft_seconds <= 0 ||
-             request.ttft <= options.slo_ttft_seconds) &&
-            (options.slo_tpot_seconds <= 0 ||
-             tpot <= options.slo_tpot_seconds);
-        if (series != nullptr) {
-          series->RecordCompletion(now, request.ttft, tpot, 0.0,
-                                   within_slo);
-        }
-        if (recorder != nullptr) {
-          recorder->AddComplete("decode", "stage", 1, seq.id,
-                                request.decode_start,
-                                now - request.decode_start, seq.id);
-          recorder->AddComplete("request", "request", 1, seq.id,
-                                request.arrival, now - request.arrival,
-                                seq.id);
-          // Terminal: seal for sampling, scored by end-to-end latency.
-          recorder->FinalizeRequest(seq.id, now - request.arrival,
-                                    !within_slo);
-        }
-      } else {
-        still.push_back(seq);
+    decode_pool.Step([&](int id) {
+      Request& request = requests[static_cast<size_t>(id)];
+      request.completion = now;
+      ++completed;
+      const double tpot =
+          (request.completion - request.decode_start) / decode_tokens;
+      // <= 0 disables a bound; the sim does not attribute per-request
+      // queue wait, so the windowed queue-wait histogram stays empty
+      // here (the runtime fills it).
+      const bool within_slo =
+          (options.slo_ttft_seconds <= 0 ||
+           request.ttft <= options.slo_ttft_seconds) &&
+          (options.slo_tpot_seconds <= 0 ||
+           tpot <= options.slo_tpot_seconds);
+      if (series != nullptr) {
+        series->RecordCompletion(now, request.ttft, tpot, 0.0, within_slo);
       }
-    }
-    decode_active = std::move(still);
+      if (recorder != nullptr) {
+        recorder->AddComplete(names.decode, names.stage, 1, id,
+                              request.decode_start,
+                              now - request.decode_start, id);
+        recorder->AddComplete(names.request, names.request, 1, id,
+                              request.arrival, now - request.arrival, id);
+        // Terminal: seal for sampling, scored by end-to-end latency.
+        recorder->FinalizeRequest(id, now - request.arrival, !within_slo);
+      }
+    });
     admit_decode();
   };
 
@@ -446,10 +452,9 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
           series->RecordOffered(now, /*admitted=*/true);
         }
         if (recorder != nullptr) {
-          recorder->SetThreadName(1, event.a,
-                                  "req " + std::to_string(event.a));
-          recorder->AddInstant("arrival", "admission", 1, event.a, now,
-                               event.a);
+          recorder->NameRequestTrack(event.a);
+          recorder->AddInstant(names.arrival, names.admission, 1, event.a,
+                               now, event.a);
         }
         enqueue(0, event.a);
         break;
@@ -467,10 +472,10 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
               // Prefix complete: first token emitted.
               requests[static_cast<size_t>(id)].ttft =
                   now - requests[static_cast<size_t>(id)].arrival;
-              decode_waiting.push_back(id);
+              decode_pool.Enqueue(id);
               if (recorder != nullptr) {
-                recorder->AddInstant("first-token", "stage", 1, id, now,
-                                     id);
+                recorder->AddInstant(names.first_token, names.stage, 1, id,
+                                     now, id);
               }
             }
           }
@@ -515,10 +520,10 @@ SimulateServing(const PipelineModel& model, const Schedule& schedule,
           } else {
             requests[static_cast<size_t>(id)].ttft =
                 now - requests[static_cast<size_t>(id)].arrival;
-            decode_waiting.push_back(id);
+            decode_pool.Enqueue(id);
             if (recorder != nullptr) {
-              recorder->AddInstant("first-token", "stage", 1, id, now,
-                                   id);
+              recorder->AddInstant(names.first_token, names.stage, 1, id,
+                                   now, id);
             }
           }
         }

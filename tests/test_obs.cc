@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/json_reader.h"
 #include "core/pipeline_model.h"
 #include "core/schema.h"
@@ -31,11 +32,11 @@ TEST(TraceRecorder, RecordsCompleteAndInstantEvents) {
   EXPECT_TRUE(recorder.empty());
   EXPECT_EQ(recorder.size(), 0u);
 
-  TraceEvent& span =
-      recorder.AddComplete("exec", "stage", /*pid=*/0, /*tid=*/3,
-                           /*start=*/1.5, /*duration=*/0.25,
-                           /*request_id=*/7);
-  span.args.emplace_back("batch", 4.0);
+  recorder
+      .AddComplete("exec", "stage", /*pid=*/0, /*tid=*/3,
+                   /*start=*/1.5, /*duration=*/0.25,
+                   /*request_id=*/7)
+      .Arg("batch", 4.0);
 
   recorder.AddInstant("first-token", "request", /*pid=*/1, /*tid=*/7,
                       /*time=*/1.75, /*request_id=*/7);
@@ -63,6 +64,19 @@ TEST(TraceRecorder, RecordsCompleteAndInstantEvents) {
   EXPECT_TRUE(recorder.empty());
 }
 
+TEST(TraceRecorder, ArgsLandAfterAReadAndAreBounded) {
+  TraceRecorder recorder;
+  TraceRecorder::EventRef span =
+      recorder.AddComplete("exec", "stage", 0, 1, 0.0, 1.0);
+  ASSERT_EQ(recorder.events().size(), 1u);
+  EXPECT_TRUE(recorder.events()[0].args.empty());
+  // An arg attached after events() was read shows up on the next read.
+  span.Arg("batch", 2.0).Arg("latency", 0.5).Arg("extra", 1.0);
+  ASSERT_EQ(recorder.events()[0].args.size(), 3u);
+  EXPECT_EQ(recorder.events()[0].args[2].first, "extra");
+  EXPECT_THROW(span.Arg("fourth", 0.0), ConfigError);
+}
+
 TEST(TraceRecorder, EventsForRequestFiltersInRecordedOrder) {
   TraceRecorder recorder;
   recorder.AddComplete("a", "c", 0, 0, 0.0, 1.0, /*request_id=*/1);
@@ -82,11 +96,12 @@ TEST(TraceRecorder, ChromeExportShapeIsPinned) {
   TraceRecorder recorder;
   recorder.SetProcessName(0, "servers");
   recorder.SetThreadName(0, 2, "server 2 (xpu)");
-  TraceEvent& span = recorder.AddComplete("exec", "stage", 0, 2,
-                                          /*start=*/0.5,
-                                          /*duration=*/0.125,
-                                          /*request_id=*/11);
-  span.args.emplace_back("batch", 8.0);
+  recorder
+      .AddComplete("exec", "stage", 0, 2,
+                   /*start=*/0.5,
+                   /*duration=*/0.125,
+                   /*request_id=*/11)
+      .Arg("batch", 8.0);
   recorder.AddInstant("first-token", "request", 1, 11, /*time=*/0.625,
                       /*request_id=*/11);
 
@@ -435,6 +450,86 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   const std::string dump = flight.Json();
   EXPECT_NE(dump.find("sim begin"), std::string::npos);
   EXPECT_NE(dump.find("sim end"), std::string::npos);
+}
+
+// The sampled export of a DES run with the whole observation stack
+// attached (the DES emits no wall-clock args, so the bytes are a pure
+// function of the inputs). The hashes were taken from the recorder
+// that stored one std::string-bearing TraceEvent per event; the
+// compact store must reproduce them byte for byte.
+TEST(TraceSampling, DesSampledExportBytesArePinned) {
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const sim::ArrivalTrace trace = sim::PoissonTrace(2000, 120.0, 3);
+
+  TelemetryTimeSeries series;
+  SloAlertOptions alert_options;
+  alert_options.rules.push_back({});
+  alert_options.rules.back().short_window_seconds = 1.0;
+  alert_options.rules.back().long_window_seconds = 2.0;
+  SloAlertEngine alerts(alert_options);
+  TraceRecorder recorder;
+  TraceSamplingOptions sampling;
+  sampling.head_rate = 0.02;
+  sampling.tail_keep = 32;
+  sampling.seed = 9;
+  recorder.SetSampling(sampling);
+  sim::ServingSimOptions options;
+  options.trace = &recorder;
+  options.timeseries = &series;
+  options.alerts = &alerts;
+  options.slo_ttft_seconds = 0.05;
+  sim::SimulateServing(model, schedule, trace, options);
+
+  const std::string chrome = recorder.ChromeTraceJson();
+  const std::string summary = recorder.RequestSummaryJson();
+  EXPECT_FALSE(alerts.transitions().empty());
+  EXPECT_GT(recorder.sampled_requests(), 32);
+  EXPECT_EQ(chrome.size(), 3299192u);
+  EXPECT_EQ(summary.size(), 43966u);
+  EXPECT_EQ(FnvFold(kFnvOffset, chrome.data(), chrome.size()),
+            8495475206674985088ull);
+  EXPECT_EQ(FnvFold(kFnvOffset, summary.data(), summary.size()),
+            10052579035962116416ull);
+  // Exports read the compact records directly.
+  EXPECT_EQ(recorder.materialized_events(), 0);
+}
+
+TEST(TraceSampling, DiscardedRequestsNeverMaterialize) {
+  // head_rate 0 and no tail ring: every request is discarded at
+  // finalization, so no per-request event is ever built into strings;
+  // only the server rows and counters, and only once something reads
+  // events().
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  TraceRecorder recorder;
+  TraceSamplingOptions sampling;
+  sampling.head_rate = 0.0;
+  recorder.SetSampling(sampling);
+  sim::ServingSimOptions options;
+  options.trace = &recorder;
+  sim::SimulateServing(model, schedule, sim::PoissonTrace(300, 120.0, 3),
+                       options);
+
+  EXPECT_EQ(recorder.finalized_requests(), 300);
+  EXPECT_EQ(recorder.discarded_requests(), 300);
+  EXPECT_EQ(recorder.pending_requests(), 0u);
+  EXPECT_GT(recorder.size(), 0u);
+  recorder.ChromeTraceJson();
+  recorder.RequestSummaryJson();
+  EXPECT_EQ(recorder.materialized_events(), 0);
+
+  int64_t request_events = 0;
+  for (const TraceEvent& event : recorder.events()) {
+    request_events += event.request_id >= 0 ? 1 : 0;
+  }
+  EXPECT_EQ(request_events, 0);
+  EXPECT_EQ(recorder.materialized_events(),
+            static_cast<int64_t>(recorder.size()));
+  // A second read builds nothing new.
+  recorder.events();
+  EXPECT_EQ(recorder.materialized_events(),
+            static_cast<int64_t>(recorder.size()));
 }
 
 TEST(TraceSampling, SimRequiresTimeseriesForAlerts) {

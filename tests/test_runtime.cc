@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "serving/obs/flight_recorder.h"
 #include "serving/obs/slo_alerts.h"
 #include "serving/obs/timeseries.h"
+#include "serving/runtime/decode_pool.h"
 #include "serving/runtime/runtime.h"
 #include "serving/runtime/workload.h"
 #include "sim/serving_sim.h"
@@ -297,6 +300,121 @@ TEST(RuntimeOptionsTest, ConstructorRejectsBadConfigurations) {
 }
 
 // ---------------------------------------------------------------------------
+// Decode pool
+// ---------------------------------------------------------------------------
+
+/// Where and when one sequence finished: position in the global finish
+/// order and the step that finished it.
+struct Finish {
+  int64_t order = 0;
+  int64_t step = 0;
+};
+
+TEST(DecodePoolTest, MatchesPerTokenOracle) {
+  // The oracle is the per-token loop the pool replaced: every step
+  // walks the active set, bumps each token count, and keeps the ones
+  // still short of decode_tokens.
+  struct Seq {
+    int id = 0;
+    int tokens = 0;
+  };
+  for (const int decode_tokens : {0, 1, 7}) {
+    Rng rng(static_cast<uint64_t>(31 + decode_tokens));
+    const int64_t capacity = 3;  // Below the bursts below.
+    DecodePool pool(capacity, decode_tokens);
+    std::deque<int> oracle_waiting;
+    std::vector<Seq> oracle_active;
+    std::map<int, Finish> got;
+    std::map<int, Finish> want;
+    int next_id = 0;
+    int64_t steps = 0;
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t kind = rng.NextBounded(3);
+      if (kind == 0) {
+        for (uint64_t n = rng.NextBounded(6); n > 0; --n) {
+          pool.Enqueue(next_id);
+          oracle_waiting.push_back(next_id);
+          ++next_id;
+        }
+      } else if (kind == 1) {
+        std::vector<int> admitted;
+        pool.Admit([&](int id) { admitted.push_back(id); });
+        std::vector<int> expected;
+        while (static_cast<int64_t>(oracle_active.size()) < capacity &&
+               !oracle_waiting.empty()) {
+          expected.push_back(oracle_waiting.front());
+          oracle_active.push_back(Seq{oracle_waiting.front(), 0});
+          oracle_waiting.pop_front();
+        }
+        EXPECT_EQ(admitted, expected);
+      } else {
+        ++steps;
+        pool.Step([&](int id) {
+          got[id] = Finish{static_cast<int64_t>(got.size()), steps};
+        });
+        std::vector<Seq> still;
+        for (Seq& seq : oracle_active) {
+          if (++seq.tokens >= decode_tokens) {
+            want[seq.id] = Finish{static_cast<int64_t>(want.size()), steps};
+          } else {
+            still.push_back(seq);
+          }
+        }
+        oracle_active = std::move(still);
+      }
+      ASSERT_EQ(pool.active(), oracle_active.size());
+      ASSERT_EQ(pool.waiting(), oracle_waiting.size());
+    }
+    EXPECT_EQ(pool.steps(), steps);
+    ASSERT_EQ(got.size(), want.size()) << "decode_tokens " << decode_tokens;
+    EXPECT_GT(got.size(), 20u);
+    for (const auto& [id, finish] : want) {
+      ASSERT_EQ(got.count(id), 1u) << id;
+      EXPECT_EQ(got[id].order, finish.order) << id;
+      EXPECT_EQ(got[id].step, finish.step) << id;
+    }
+  }
+}
+
+TEST(DecodePoolTest, EveryRequestSpansExactlyItsDecodeSteps) {
+  // Each completed request is resident for max(decode_tokens, 1)
+  // decode-step spans: the steps whose midpoint falls inside its
+  // decode span (a step ending at the admission instant is not its).
+  const LiveTier tier = MakeLiveTier();
+  for (const int decode_tokens : {1, 7}) {
+    core::RAGSchema schema = rago::testing::TinyHyperscaleSchema();
+    schema.workload.decode_tokens = decode_tokens;
+    const core::PipelineModel model(schema, DefaultCluster());
+    // Decode batch 4: admissions queue behind a full pool.
+    const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 4);
+    obs::TraceRecorder recorder;
+    RuntimeOptions options;
+    options.trace = &recorder;
+    const ServingRuntime runtime(model, schedule, tier.index, options);
+    const RuntimeResult result =
+        runtime.Serve(PoissonTrace(60, 400.0, 11), tier.queries);
+    ASSERT_EQ(result.completed, 60);
+
+    std::vector<double> step_mids;
+    for (const obs::TraceEvent& event : recorder.events()) {
+      if (event.name == "decode-step") {
+        step_mids.push_back(event.start + 0.5 * event.duration);
+      }
+    }
+    EXPECT_EQ(static_cast<int64_t>(step_mids.size()), result.decode_steps);
+    for (size_t id = 0; id < result.requests.size(); ++id) {
+      const RequestOutcome& outcome = result.requests[id];
+      int64_t resident = 0;
+      for (double mid : step_mids) {
+        resident +=
+            mid > outcome.decode_start && mid < outcome.completion ? 1 : 0;
+      }
+      EXPECT_EQ(resident, decode_tokens) << "request " << id;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end serving
 // ---------------------------------------------------------------------------
 
@@ -393,6 +511,9 @@ TEST(ServingRuntimeTest, DeterministicAcrossThreadCounts) {
     const RuntimeResult& other = results[i];
     EXPECT_EQ(base.outcome_digest, other.outcome_digest);
     EXPECT_EQ(base.completed, other.completed);
+    EXPECT_EQ(base.events_processed, other.events_processed);
+    EXPECT_EQ(base.event_heap_high_water, other.event_heap_high_water);
+    EXPECT_EQ(base.decode_steps, other.decode_steps);
     EXPECT_EQ(base.makespan, other.makespan);
     EXPECT_EQ(base.throughput, other.throughput);
     EXPECT_EQ(base.slo_attainment, other.slo_attainment);

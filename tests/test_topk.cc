@@ -2,12 +2,14 @@
  * @file test_topk.cc
  * Tests for the bounded top-k accumulator: equivalence with
  * std::partial_sort under the Neighbor ordering, threshold semantics,
- * and empty/duplicate-score edge cases.
+ * empty/duplicate-score edge cases, and agreement with the binary-heap
+ * accumulator it replaced (kept here as a test oracle).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <queue>
 #include <vector>
 
 #include "common/check.h"
@@ -26,6 +28,37 @@ std::vector<Neighbor> PartialSortTopK(std::vector<Neighbor> candidates,
                     candidates.end());
   candidates.resize(keep);
   return candidates;
+}
+
+/// The max-heap accumulator TopK used to be: same admission rule
+/// (strict Neighbor order against the worst kept), heap storage.
+std::vector<Neighbor> HeapTopK(const std::vector<Neighbor>& candidates,
+                               size_t k) {
+  std::priority_queue<Neighbor> heap;
+  for (const Neighbor& c : candidates) {
+    if (heap.size() < k) {
+      heap.push(c);
+    } else if (c < heap.top()) {
+      heap.pop();
+      heap.push(c);
+    }
+  }
+  std::vector<Neighbor> out;
+  while (!heap.empty()) {
+    out.push_back(heap.top());
+    heap.pop();
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& got,
+                         const std::vector<Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].dist, want[i].dist) << "rank " << i;
+  }
 }
 
 TEST(TopK, RejectsZeroK) {
@@ -148,6 +181,62 @@ TEST(TopK, SortedTakeEmptiesTheHeap) {
   EXPECT_EQ(topk.SortedTake().size(), 2u);
   EXPECT_EQ(topk.size(), 0u);
   EXPECT_TRUE(topk.SortedTake().empty());
+}
+
+TEST(TopK, ReusableAfterSortedTake) {
+  Rng rng(7);
+  TopK topk(4);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<Neighbor> candidates;
+    for (int64_t i = 0; i < 40; ++i) {
+      candidates.push_back(
+          {static_cast<float>(rng.NextUniform(0.0, 10.0)), i});
+    }
+    for (const Neighbor& c : candidates) {
+      topk.Push(c.dist, c.id);
+    }
+    // Each round sees only its own candidates.
+    ExpectSameNeighbors(topk.SortedTake(), PartialSortTopK(candidates, 4));
+    EXPECT_EQ(topk.size(), 0u);
+    EXPECT_EQ(topk.Threshold(), std::numeric_limits<float>::infinity());
+  }
+}
+
+TEST(TopK, DuplicatePairsKeptExactlyAsTheHeapKeptThem) {
+  // Exact (dist, id) repeats: both accumulators admit a repeat while
+  // filling and reject one equal to the worst kept once full.
+  Rng rng(123);
+  for (const size_t k : {1u, 2u, 5u, 16u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Neighbor> candidates;
+      for (int i = 0; i < 60; ++i) {
+        candidates.push_back({static_cast<float>(rng.NextBounded(3)),
+                              static_cast<int64_t>(rng.NextBounded(4))});
+      }
+      TopK topk(k);
+      for (const Neighbor& c : candidates) {
+        topk.Push(c.dist, c.id);
+      }
+      ExpectSameNeighbors(topk.SortedTake(), HeapTopK(candidates, k));
+    }
+  }
+}
+
+TEST(TopK, KLargerThanCandidateCountReturnsAllSorted) {
+  Rng rng(5);
+  std::vector<Neighbor> candidates;
+  for (int64_t i = 0; i < 1500; ++i) {
+    candidates.push_back(
+        {static_cast<float>(rng.NextUniform(0.0, 1.0)), i});
+  }
+  for (const size_t k : {size_t{1501}, size_t{4096}, size_t{1} << 40}) {
+    TopK topk(k);
+    for (const Neighbor& c : candidates) {
+      topk.Push(c.dist, c.id);
+    }
+    EXPECT_EQ(topk.Threshold(), std::numeric_limits<float>::infinity());
+    ExpectSameNeighbors(topk.SortedTake(), HeapTopK(candidates, k));
+  }
 }
 
 }  // namespace

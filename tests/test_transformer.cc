@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/check.h"
 #include "models/transformer.h"
 #include "tests/testing/test_support.h"
@@ -20,6 +22,11 @@ struct SizeCase {
   double nominal;
   double tolerance;
 };
+
+// Without this, GoogleTest prints the raw bytes of the struct, which
+// include pointer values that change with every process launch, so the
+// discovered CTest names would differ from run to run.
+void PrintTo(const SizeCase& c, std::ostream* os) { *os << c.name; }
 
 class ParamCountTest : public ::testing::TestWithParam<SizeCase> {};
 

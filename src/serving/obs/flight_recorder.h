@@ -5,16 +5,16 @@
  * When a soak run dies at request 843,112, the full trace is either
  * disabled or too large to keep; what post-mortems actually need is
  * the *last few hundred* notable things the engine saw. The flight
- * recorder is that black box: a fixed-capacity ring both engines
- * append to (window closes, alert transitions, admission rejections,
- * engine milestones), overwriting the oldest entries and counting the
- * overwritten so a dump always states what it lost.
+ * recorder is that black box: a fixed-capacity ring the serving
+ * engine appends to (window closes, alert transitions, admission
+ * rejections, engine milestones), overwriting the oldest entries and
+ * counting the overwritten so a dump always states what it lost.
  *
- * The ring is dumped as JSON on demand, and the engines dump it
+ * The ring is dumped as JSON on demand, and the engine dumps it
  * automatically when serving aborts — a `RAGO_CHECK` failure or any
  * other exception unwinding the event loop writes the ring to the
  * configured path before the exception continues. Appends happen only
- * on the serial engine loops with virtual-clock timestamps, so ring
+ * on the serial engine loop with virtual-clock timestamps, so ring
  * contents are deterministic and thread-count invariant like every
  * other observability surface.
  */

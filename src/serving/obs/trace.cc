@@ -9,7 +9,7 @@ namespace rago::obs {
 namespace {
 
 constexpr double kMicrosPerSecond = 1e6;
-/// Track group carrying per-request rows (matches both engines).
+/// Track group carrying per-request rows (the serving engine's layout).
 constexpr int kRequestPid = 1;
 
 }  // namespace

@@ -71,99 +71,54 @@ struct Event {
   }
 };
 
-}  // namespace
+/// Stage index standing for "no such stage" (a schema without
+/// retrieval has no retrieval stage).
+constexpr size_t kNoStage = static_cast<size_t>(-1);
 
-void
-RuntimeOptions::Validate() const {
-  RAGO_REQUIRE(admission_queue_limit > 0,
-               "admission_queue_limit must be positive");
-  RAGO_REQUIRE(batch_timeout >= 0, "batch_timeout must be non-negative");
-  RAGO_REQUIRE(num_threads >= 0,
-               "num_threads must be >= 0 (0 = hardware concurrency)");
-  RAGO_REQUIRE(top_k >= 1, "top_k must be >= 1");
-  RAGO_REQUIRE(slo.ttft_seconds > 0 && slo.tpot_seconds > 0,
-               "SLO targets must be positive");
-  RAGO_REQUIRE(timeline_limit >= 0, "timeline_limit must be >= 0");
-  RAGO_REQUIRE(histogram_sample_cap > 0,
-               "histogram_sample_cap must be positive");
-  RAGO_REQUIRE(alerts == nullptr || timeseries != nullptr,
-               "burn-rate alerting requires a telemetry time-series");
-  cache.Validate();
-}
+/// The live retrieval tier one Serve call scans: the index, the pool
+/// its scans fan out on, the query pool, and each request's first row.
+struct LiveRetrieval {
+  const serving::ShardedIndex& index;
+  ThreadPool* pool;
+  const ann::Matrix& query_pool;
+  const std::vector<size_t>& row_start;
+};
 
-ServingRuntime::ServingRuntime(const PipelineModel& model,
-                               core::Schedule schedule,
-                               const serving::ShardedIndex& index,
-                               RuntimeOptions options)
-    : model_(model), schedule_(std::move(schedule)), index_(index),
-      options_(std::move(options)) {
-  options_.Validate();
-  RAGO_REQUIRE(model_.schema().retrieval_enabled,
-               "the serving runtime requires a retrieval stage");
-  RAGO_REQUIRE(!model_.schema().IterativeRetrieval(),
+/// Checks shared by live and priced-only serving.
+void ValidateDeployment(const PipelineModel& model,
+                        const core::Schedule& schedule,
+                        const RuntimeOptions& options) {
+  options.Validate();
+  RAGO_REQUIRE(!model.schema().IterativeRetrieval(),
                "iterative retrieval is not supported by the runtime "
                "(use SimulateIterativeDecode)");
-  schedule_.Validate(model_.chain().size());
-  // A dedicated pool (even of one worker) so scan parallelism follows
-  // this runtime's knob, not the index's own num_threads default.
-  pool_ = std::make_unique<ThreadPool>(
-      ResolveNumThreads(options_.num_threads));
+  schedule.Validate(model.chain().size());
 }
 
+/**
+ * The serving event loop. With `live`, retrieval batches run real
+ * ShardedIndex scans whose neighbors feed the outcome digest and the
+ * cache tier. Without it, retrieval is priced only: batches occupy
+ * the retrieval servers for their modeled time and nothing is
+ * scanned. Virtual time is model-priced either way, so the two modes
+ * schedule identically.
+ */
 RuntimeResult
-ServingRuntime::Serve(const ArrivalTrace& workload,
-                      const ann::Matrix& query_pool) const {
+RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
+             const RuntimeOptions& options, const ArrivalTrace& workload,
+             const LiveRetrieval* live) {
   RAGO_REQUIRE(!workload.arrivals.empty(), "empty arrival trace");
-  RAGO_REQUIRE(!query_pool.empty(), "empty query pool");
-  // Legacy assignment: each request's starting pool row derives from
-  // the seed (uniform over the pool), exactly as before query streams
-  // existed.
-  std::vector<size_t> row_start(workload.arrivals.size());
-  for (size_t i = 0; i < row_start.size(); ++i) {
-    row_start[i] = static_cast<size_t>(
-        Rng::DeriveSeed(options_.seed, static_cast<uint64_t>(i)) %
-        query_pool.rows());
-  }
-  return ServeImpl(workload, query_pool, row_start);
-}
 
-RuntimeResult
-ServingRuntime::Serve(const ArrivalTrace& workload,
-                      const ann::Matrix& query_pool,
-                      const QueryStream& stream) const {
-  RAGO_REQUIRE(!workload.arrivals.empty(), "empty arrival trace");
-  RAGO_REQUIRE(!query_pool.empty(), "empty query pool");
-  RAGO_REQUIRE(stream.rows.size() == workload.arrivals.size(),
-               "query stream length must match the arrival trace");
-  std::vector<size_t> row_start(stream.rows.size());
-  for (size_t i = 0; i < stream.rows.size(); ++i) {
-    const int64_t row = stream.rows[i];
-    RAGO_REQUIRE(row >= 0 &&
-                     row < static_cast<int64_t>(query_pool.rows()),
-                 "query stream row out of pool range");
-    row_start[i] = static_cast<size_t>(row);
-  }
-  return ServeImpl(workload, query_pool, row_start);
-}
-
-RuntimeResult
-ServingRuntime::ServeImpl(const ArrivalTrace& workload,
-                          const ann::Matrix& query_pool,
-                          const std::vector<size_t>& row_start) const {
-  RAGO_REQUIRE(query_pool.dim() == index_.dim(),
-               "query pool dimensionality mismatch with the index");
-
-  // --- Instantiate the stage graph with model-priced service times
-  // (identical treatment to the serving DES, so the two engines are
-  // directly cross-checkable). ---
-  const auto& chain = model_.chain();
+  // --- Instantiate the stage graph with model-priced service times,
+  // the same for live and priced-only runs. ---
+  const auto& chain = model.chain();
   std::vector<ExecStage> stages;
-  const int retrieval_server = schedule_.NumGroups();
-  size_t retrieval_stage_index = 0;
+  const int retrieval_server = schedule.NumGroups();
+  size_t retrieval_stage_index = kNoStage;
   size_t prefix_stage_index = 0;
   int prefix_chips = 0;
   size_t chain_index = 0;
-  for (StageType type : model_.schema().AllStages()) {
+  for (StageType type : model.schema().AllStages()) {
     if (type == StageType::kDecode) {
       continue;  // Decode runs in the continuous-batching pool below.
     }
@@ -172,17 +127,17 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     if (type == StageType::kRetrieval) {
       retrieval_stage_index = stages.size();
       stage.server = retrieval_server;
-      stage.batch = schedule_.retrieval_batch;
+      stage.batch = schedule.retrieval_batch;
       const int64_t queries =
-          stage.batch * model_.schema().retrieval.queries_per_retrieval;
-      if (options_.retrieval_model != nullptr) {
+          stage.batch * model.schema().retrieval.queries_per_retrieval;
+      if (options.retrieval_model != nullptr) {
         const retrieval::RetrievalCost cost =
-            options_.retrieval_model->Search(queries);
+            options.retrieval_model->Search(queries);
         stage.latency = cost.latency;
         stage.interval = static_cast<double>(queries) / cost.throughput;
       } else {
-        const core::StagePerf perf = model_.EvalRetrieval(
-            static_cast<int>(stage.batch), schedule_.retrieval_servers);
+        const core::StagePerf perf = model.EvalRetrieval(
+            static_cast<int>(stage.batch), schedule.retrieval_servers);
         RAGO_REQUIRE(perf.feasible, "retrieval infeasible under schedule");
         stage.latency = perf.latency;
         stage.interval =
@@ -190,11 +145,11 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
       }
     } else {
       RAGO_CHECK(chain_index < chain.size(), "chain/stage walk mismatch");
-      const int group = schedule_.chain_group[chain_index];
+      const int group = schedule.chain_group[chain_index];
       stage.server = group;
-      stage.batch = schedule_.chain_batch[chain_index];
-      const core::StagePerf perf = model_.EvalChainStage(
-          type, schedule_.group_chips[static_cast<size_t>(group)],
+      stage.batch = schedule.chain_batch[chain_index];
+      const core::StagePerf perf = model.EvalChainStage(
+          type, schedule.group_chips[static_cast<size_t>(group)],
           stage.batch);
       RAGO_REQUIRE(perf.feasible, "stage infeasible under schedule");
       stage.latency = perf.latency;
@@ -202,7 +157,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
       if (type == StageType::kPrefix) {
         prefix_stage_index = stages.size();
         prefix_chips =
-            schedule_.group_chips[static_cast<size_t>(group)];
+            schedule.group_chips[static_cast<size_t>(group)];
       }
       ++chain_index;
     }
@@ -211,11 +166,11 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   const int num_servers = retrieval_server + 1;
 
   const core::StagePerf decode_perf =
-      model_.EvalDecode(schedule_.decode_chips, schedule_.decode_batch);
+      model.EvalDecode(schedule.decode_chips, schedule.decode_batch);
   RAGO_REQUIRE(decode_perf.feasible, "decode infeasible under schedule");
-  const int decode_tokens = model_.schema().workload.decode_tokens;
+  const int decode_tokens = model.schema().workload.decode_tokens;
   const double step_latency =
-      static_cast<double>(schedule_.decode_batch) /
+      static_cast<double>(schedule.decode_batch) /
       (decode_perf.throughput * decode_tokens);
 
   // --- Serving state. ---
@@ -225,24 +180,25 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   for (size_t i = 0; i < workload.arrivals.size(); ++i) {
     result.requests[i].arrival = workload.arrivals[i];
   }
-  result.ttft = Histogram(options_.histogram_sample_cap);
-  result.tpot = Histogram(options_.histogram_sample_cap);
-  result.queue_wait = Histogram(options_.histogram_sample_cap);
+  result.ttft = Histogram(options.histogram_sample_cap);
+  result.tpot = Histogram(options.histogram_sample_cap);
+  result.queue_wait = Histogram(options.histogram_sample_cap);
   result.stages.resize(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
     result.stages[s].type = stages[s].type;
     result.stages[s].server = stages[s].server;
-    result.stages[s].queue_wait = Histogram(options_.histogram_sample_cap);
+    result.stages[s].queue_wait = Histogram(options.histogram_sample_cap);
   }
+  result.server_busy_seconds.assign(static_cast<size_t>(num_servers), 0.0);
 
   // --- Span tracing (opt-in, observation-only: appends never feed
   // back into scheduling, so the digest is invariant to `trace`). ---
-  obs::TraceRecorder* trace = options_.trace;
+  obs::TraceRecorder* trace = options.trace;
   const int decode_row = num_servers;
   if (trace != nullptr) {
     trace->SetProcessName(0, "servers");
     trace->SetProcessName(1, "requests");
-    for (int g = 0; g < schedule_.NumGroups(); ++g) {
+    for (int g = 0; g < schedule.NumGroups(); ++g) {
       trace->SetThreadName(0, g, "xpu group " + std::to_string(g));
     }
     trace->SetThreadName(0, retrieval_server, "retrieval servers");
@@ -252,9 +208,10 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   // event loop records by id.
   struct TraceNames {
     obs::TraceName admission, arrival, rejected, stage, queue, cache,
-        cache_hit, first_token, decode_step, decode, request, active,
-        batch, latency, real_scan;
-    std::vector<obs::TraceName> queue_of, exec_of;  ///< Per stage.
+        cache_hit, telemetry, first_token, decode_step, decode, request,
+        active, batch, latency, real_scan;
+    /// Per stage: queue/exec spans and the depth/utilization counters.
+    std::vector<obs::TraceName> queue_of, exec_of, depth_of, util_of;
   } names;
   if (trace != nullptr) {
     names.admission = trace->Intern("admission");
@@ -264,6 +221,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     names.queue = trace->Intern("queue");
     names.cache = trace->Intern("cache");
     names.cache_hit = trace->Intern("retrieval-cache-hit");
+    names.telemetry = trace->Intern("telemetry");
     names.first_token = trace->Intern("first-token");
     names.decode_step = trace->Intern("decode-step");
     names.decode = trace->Intern("decode");
@@ -272,10 +230,13 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     names.batch = trace->Intern("batch");
     names.latency = trace->Intern("latency");
     names.real_scan = trace->Intern("real_scan_wall_s");
-    for (const ExecStage& stage : stages) {
-      const std::string stage_name = core::StageName(stage.type);
+    for (size_t s = 0; s < stages.size(); ++s) {
+      const std::string stage_name = core::StageName(stages[s].type);
+      const std::string label = stage_name + " s" + std::to_string(s);
       names.queue_of.push_back(trace->Intern("queue:" + stage_name));
       names.exec_of.push_back(trace->Intern("exec:" + stage_name));
+      names.depth_of.push_back(trace->Intern("queue-depth: " + label));
+      names.util_of.push_back(trace->Intern("utilization: " + label));
     }
   }
 
@@ -283,9 +244,9 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   // opt-in; driven on the virtual clock from the serial loop, so every
   // surface is thread-count invariant, and observation-only except the
   // explicitly-opted-in alert digest fold). ---
-  obs::TelemetryTimeSeries* series = options_.timeseries;
-  obs::SloAlertEngine* alerts = options_.alerts;
-  obs::FlightRecorder* flight = options_.flight;
+  obs::TelemetryTimeSeries* series = options.timeseries;
+  obs::SloAlertEngine* alerts = options.alerts;
+  obs::FlightRecorder* flight = options.flight;
   const int alert_row = decode_row + 1;
   if (trace != nullptr && alerts != nullptr) {
     trace->SetThreadName(0, alert_row, "slo alerts");
@@ -296,24 +257,24 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
                        " requests");
   }
 
-  const int qpr = model_.schema().retrieval.queries_per_retrieval;
-  const size_t pool_rows = query_pool.rows();
-  RAGO_CHECK(row_start.size() == workload.arrivals.size(),
+  const int qpr = model.schema().retrieval.queries_per_retrieval;
+  RAGO_CHECK(live == nullptr ||
+                 live->row_start.size() == workload.arrivals.size(),
              "row-start assignment length mismatch");
 
   // --- Cache tier (per Serve call: the engine is reusable and each
   // call's cache state is a pure function of the trace + stream). ---
   cache::LruRetrievalCache retrieval_cache(
-      options_.cache.retrieval_capacity);
-  cache::LruDocCache doc_cache(options_.cache.doc_capacity);
+      options.cache.retrieval_capacity);
+  cache::LruDocCache doc_cache(options.cache.doc_capacity);
   // Content-based query fingerprints, computed up front so lookup
   // cost in the event loop is O(1) per request.
   std::vector<uint64_t> fingerprints;
   if (retrieval_cache.enabled()) {
     fingerprints.resize(workload.arrivals.size());
     for (size_t i = 0; i < fingerprints.size(); ++i) {
-      fingerprints[i] =
-          cache::FingerprintQueries(query_pool, row_start[i], qpr);
+      fingerprints[i] = cache::FingerprintQueries(
+          live->query_pool, live->row_start[i], qpr);
     }
   }
   // Measured-hit-rate prefix pricing, memoized per distinct rate (an
@@ -324,7 +285,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     auto it = prefix_price_memo.find(rate);
     if (it == prefix_price_memo.end()) {
       const core::StagePerf perf =
-          model_.EvalPrefixCached(prefix_chips, prefix_batch, rate);
+          model.EvalPrefixCached(prefix_chips, prefix_batch, rate);
       RAGO_REQUIRE(perf.feasible,
                    "prefix infeasible at measured cache hit rate");
       it = prefix_price_memo
@@ -339,7 +300,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
 
   std::vector<double> server_busy_until(static_cast<size_t>(num_servers),
                                         0.0);
-  DecodePool decode_pool(schedule_.decode_batch, decode_tokens);
+  DecodePool decode_pool(schedule.decode_batch, decode_tokens);
   double decode_busy_time = 0.0;
   bool step_scheduled = false;
   uint64_t digest = kFnvOffset;
@@ -415,6 +376,9 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     drain_telemetry_windows();
   };
 
+  // Each stored timeline point also becomes a pair of Chrome counter
+  // samples, so viewers graph queue depth and utilization next to the
+  // spans; the timeline cap bounds both.
   auto record_timeline = [&](size_t s) {
     if (series != nullptr) {
       series->RecordQueueDepth(now, static_cast<int>(s),
@@ -422,7 +386,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     }
     StageTelemetry& telemetry = result.stages[s];
     if (static_cast<int>(telemetry.timeline.size()) >=
-        options_.timeline_limit) {
+        options.timeline_limit) {
       return;
     }
     StageTimelinePoint point;
@@ -431,6 +395,13 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     point.utilization =
         now > 0.0 ? telemetry.busy_seconds / now : 0.0;
     telemetry.timeline.push_back(point);
+    if (trace != nullptr) {
+      trace->AddCounter(names.depth_of[s], names.telemetry, 0,
+                        static_cast<int>(s), now,
+                        static_cast<double>(point.queue_depth));
+      trace->AddCounter(names.util_of[s], names.telemetry, 0,
+                        static_cast<int>(s), now, point.utilization);
+    }
   };
 
   // Folds one request's retrieved neighbor lists into the digest and
@@ -464,11 +435,13 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   // records each member's retrieved neighbors into the digest. Virtual
   // time is unaffected: the batch's service time stays model-priced.
   auto run_retrieval_scan = [&](const std::vector<int>& members) {
+    const ann::Matrix& query_pool = live->query_pool;
+    const size_t pool_rows = query_pool.rows();
     ann::Matrix batch_queries(members.size() * static_cast<size_t>(qpr),
                               query_pool.dim());
     size_t row = 0;
     for (int id : members) {
-      const size_t start = row_start[static_cast<size_t>(id)];
+      const size_t start = live->row_start[static_cast<size_t>(id)];
       for (int q = 0; q < qpr; ++q) {
         batch_queries.CopyRowFrom(
             query_pool, (start + static_cast<size_t>(q)) % pool_rows,
@@ -478,8 +451,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     // Measurement only (real_scan_wall_s). rago-lint: allow(wallclock)
     const Clock::time_point scan_start = Clock::now();
     serving::ShardSearchStats stats;
-    const auto neighbors = index_.SearchBatch(
-        batch_queries, static_cast<size_t>(options_.top_k), pool_.get(),
+    const auto neighbors = live->index.SearchBatch(
+        batch_queries, static_cast<size_t>(options.top_k), live->pool,
         &stats);
     result.real_scan_seconds += SecondsSince(scan_start);
     result.real_scan_bytes += stats.TotalScanBytes();
@@ -508,11 +481,11 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
       while (!stage.queue.empty() && server_busy_until[server] <= now) {
         const bool full =
             static_cast<int64_t>(stage.queue.size()) >= stage.batch;
-        // Tolerant flush comparison (see the DES): the flush event
-        // fires at exactly oldest + timeout, which can round below
-        // timeout when re-derived.
+        // Tolerant comparison: a flush event fires at exactly
+        // oldest + timeout, and (oldest + timeout) - oldest can round
+        // below timeout in floating point.
         const bool timed_out =
-            now >= stage.oldest_enqueue + options_.batch_timeout - 1e-9;
+            now >= stage.oldest_enqueue + options.batch_timeout - 1e-9;
         if (!full && !force && !timed_out) {
           break;
         }
@@ -552,6 +525,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
           interval = priced.second;
         }
         server_busy_until[server] = now + interval;
+        result.server_busy_seconds[server] += interval;
         telemetry.busy_seconds += interval;
         if (series != nullptr) {
           // Occupancy attributed to the window containing the batch
@@ -562,8 +536,9 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         telemetry.full_batches +=
             static_cast<int64_t>(take) == stage.batch ? 1 : 0;
         telemetry.requests += static_cast<int64_t>(take);
+        const bool scanned = s == retrieval_stage_index && live != nullptr;
         const double scan_seconds_before = result.real_scan_seconds;
-        if (s == retrieval_stage_index) {
+        if (scanned) {
           run_retrieval_scan(batch.members);
         }
         if (trace != nullptr) {
@@ -576,7 +551,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
               batch_name, names.stage, 0, stage.server, now, interval);
           span.Arg(names.batch, static_cast<double>(take))
               .Arg(names.latency, latency);
-          if (s == retrieval_stage_index) {
+          if (scanned) {
             span.Arg(names.real_scan,
                      result.real_scan_seconds - scan_seconds_before);
           }
@@ -590,7 +565,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         events.push(Event{now + latency, 1, static_cast<int>(s)});
       }
       if (!stage.queue.empty() && server_busy_until[server] <= now) {
-        events.push(Event{stage.oldest_enqueue + options_.batch_timeout,
+        events.push(Event{stage.oldest_enqueue + options.batch_timeout,
                           2, static_cast<int>(s)});
       }
     }
@@ -600,7 +575,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     ExecStage& stage = stages[s];
     if (stage.queue.empty()) {
       stage.oldest_enqueue = now;
-      events.push(Event{now + options_.batch_timeout, 2,
+      events.push(Event{now + options.batch_timeout, 2,
                         static_cast<int>(s)});
     }
     stage.queue.push_back(QueueEntry{request, now});
@@ -629,9 +604,9 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         record_retrieval(request, cached->neighbors);
         if (trace != nullptr) {
           trace->AddComplete(names.cache_hit, names.cache, 1, request, now,
-                             options_.cache.lookup_seconds, request);
+                             options.cache.lookup_seconds, request);
         }
-        events.push(Event{now + options_.cache.lookup_seconds, 4,
+        events.push(Event{now + options.cache.lookup_seconds, 4,
                           request});
         return;
       }
@@ -706,8 +681,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
       // Same predicate the end-of-run aggregation applies; computed
       // here so windowed telemetry sees the verdict at completion time.
       const bool within_slo_now =
-          outcome.ttft <= options_.slo.ttft_seconds &&
-          outcome.tpot <= options_.slo.tpot_seconds;
+          outcome.ttft <= options.slo.ttft_seconds &&
+          outcome.tpot <= options.slo.tpot_seconds;
       if (series != nullptr) {
         series->RecordCompletion(now, outcome.ttft, outcome.tpot,
                                  outcome.queue_wait, within_slo_now);
@@ -740,22 +715,17 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         }
       }
     }
-  } flight_abort_guard{flight, &options_.flight_dump_path, &now};
+  } flight_abort_guard{flight, &options.flight_dump_path, &now};
 
-  // Pops the next event, tracking the heap's high-water mark (the heap
-  // is largest just before a pop: pushes happen between pops).
-  auto pop_event = [&]() {
+  // Pops the next event, advances the virtual clock to it (closing the
+  // telemetry windows it passes) and handles it. Tracks the heap's
+  // high-water mark, which peaks just before a pop.
+  auto run_next_event = [&]() {
     result.event_heap_high_water = std::max(
         result.event_heap_high_water, static_cast<int64_t>(events.size()));
     ++result.events_processed;
     const Event event = events.top();
     events.pop();
-    return event;
-  };
-
-  // --- Main loop. ---
-  while (!events.empty()) {
-    const Event event = pop_event();
     now = std::max(now, event.time);
     advance_telemetry();
 
@@ -764,7 +734,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         RequestOutcome& outcome =
             result.requests[static_cast<size_t>(event.a)];
         if (static_cast<int64_t>(stages[0].queue.size()) >=
-            options_.admission_queue_limit) {
+            options.admission_queue_limit) {
           outcome.admitted = false;
           ++result.rejected;
           if (series != nullptr) {
@@ -804,7 +774,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
         break;
       }
       case 2: {
-        break;  // Flush deadline; start_batches below handles it.
+        break;  // Flush deadline; the caller's start_batches handles it.
       }
       case 3: {
         decode_step();
@@ -817,6 +787,11 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
       default:
         RAGO_CHECK(false, "unknown event kind");
     }
+  };
+
+  // --- Main loop. ---
+  while (!events.empty()) {
+    run_next_event();
     start_batches(/*force=*/false);
   }
 
@@ -826,16 +801,7 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     if (events.empty()) {
       break;
     }
-    const Event event = pop_event();
-    now = std::max(now, event.time);
-    advance_telemetry();
-    if (event.kind == 1) {
-      complete_stage(static_cast<size_t>(event.a));
-    } else if (event.kind == 3) {
-      decode_step();
-    } else if (event.kind == 4) {
-      deliver_cache_hit(event.a);
-    }
+    run_next_event();
   }
   RAGO_CHECK(completed == result.admitted,
              "serving runtime failed to drain all admitted requests");
@@ -854,8 +820,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     flight->Append(now, "note",
                    "serve end: completed=" + std::to_string(completed),
                    static_cast<double>(completed));
-    if (!options_.flight_dump_path.empty()) {
-      flight->DumpToFile(options_.flight_dump_path);
+    if (!options.flight_dump_path.empty()) {
+      flight->DumpToFile(options.flight_dump_path);
     }
   }
 
@@ -873,8 +839,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     result.ttft.Add(outcome.ttft);
     result.tpot.Add(outcome.tpot);
     result.queue_wait.Add(outcome.queue_wait);
-    outcome.slo_ok = outcome.ttft <= options_.slo.ttft_seconds &&
-                     outcome.tpot <= options_.slo.tpot_seconds;
+    outcome.slo_ok = outcome.ttft <= options.slo.ttft_seconds &&
+                     outcome.tpot <= options.slo.tpot_seconds;
     within_slo += outcome.slo_ok ? 1 : 0;
   }
   result.slo_attainment =
@@ -886,26 +852,6 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
   }
   result.decode_utilization =
       decode_busy_time / std::max(result.makespan, 1e-12);
-
-  // Counter tracks: replay each stage's recorded timeline as Chrome
-  // "C" events so viewers draw queue-depth and utilization graphs
-  // alongside the spans. Reads the finished timelines only.
-  if (trace != nullptr) {
-    for (size_t s = 0; s < result.stages.size(); ++s) {
-      const StageTelemetry& telemetry = result.stages[s];
-      const std::string label = std::string(core::StageName(telemetry.type)) +
-                                " s" + std::to_string(s);
-      const obs::TraceName depth_name = trace->Intern("queue-depth: " + label);
-      const obs::TraceName util_name = trace->Intern("utilization: " + label);
-      const obs::TraceName category = trace->Intern("telemetry");
-      for (const StageTimelinePoint& point : telemetry.timeline) {
-        trace->AddCounter(depth_name, category, 0, static_cast<int>(s),
-                          point.time, static_cast<double>(point.queue_depth));
-        trace->AddCounter(util_name, category, 0, static_cast<int>(s),
-                          point.time, point.utilization);
-      }
-    }
-  }
 
   // Cache-tier telemetry (id order / counter state: both independent
   // of event interleaving by construction — the caches only ever
@@ -958,8 +904,8 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
 
   // --- Metrics export (opt-in; reads the finished result only, so it
   // can never perturb it). ---
-  if (options_.metrics != nullptr) {
-    MetricsRegistry& metrics = *options_.metrics;
+  if (options.metrics != nullptr) {
+    MetricsRegistry& metrics = *options.metrics;
     metrics.GetCounter("runtime.requests_submitted").Inc(result.submitted);
     metrics.GetCounter("runtime.requests_admitted").Inc(result.admitted);
     metrics.GetCounter("runtime.requests_rejected").Inc(result.rejected);
@@ -1001,6 +947,95 @@ ServingRuntime::ServeImpl(const ArrivalTrace& workload,
     }
   }
   return result;
+}
+
+}  // namespace
+
+void
+RuntimeOptions::Validate() const {
+  RAGO_REQUIRE(admission_queue_limit > 0,
+               "admission_queue_limit must be positive");
+  RAGO_REQUIRE(batch_timeout >= 0, "batch_timeout must be non-negative");
+  RAGO_REQUIRE(num_threads >= 0,
+               "num_threads must be >= 0 (0 = hardware concurrency)");
+  RAGO_REQUIRE(top_k >= 1, "top_k must be >= 1");
+  RAGO_REQUIRE(slo.ttft_seconds > 0 && slo.tpot_seconds > 0,
+               "SLO targets must be positive");
+  RAGO_REQUIRE(timeline_limit >= 0, "timeline_limit must be >= 0");
+  RAGO_REQUIRE(histogram_sample_cap > 0,
+               "histogram_sample_cap must be positive");
+  RAGO_REQUIRE(alerts == nullptr || timeseries != nullptr,
+               "burn-rate alerting requires a telemetry time-series");
+  cache.Validate();
+}
+
+ServingRuntime::ServingRuntime(const PipelineModel& model,
+                               core::Schedule schedule,
+                               const serving::ShardedIndex& index,
+                               RuntimeOptions options)
+    : model_(model), schedule_(std::move(schedule)), index_(index),
+      options_(std::move(options)) {
+  ValidateDeployment(model_, schedule_, options_);
+  RAGO_REQUIRE(model_.schema().retrieval_enabled,
+               "the serving runtime requires a retrieval stage");
+  // A dedicated pool (even of one worker) so scan parallelism follows
+  // this runtime's knob, not the index's own num_threads default.
+  pool_ = std::make_unique<ThreadPool>(
+      ResolveNumThreads(options_.num_threads));
+}
+
+RuntimeResult
+ServingRuntime::Serve(const ArrivalTrace& workload,
+                      const ann::Matrix& query_pool) const {
+  RAGO_REQUIRE(!query_pool.empty(), "empty query pool");
+  // Legacy assignment: each request's starting pool row derives from
+  // the seed (uniform over the pool), exactly as before query streams
+  // existed.
+  std::vector<size_t> row_start(workload.arrivals.size());
+  for (size_t i = 0; i < row_start.size(); ++i) {
+    row_start[i] = static_cast<size_t>(
+        Rng::DeriveSeed(options_.seed, static_cast<uint64_t>(i)) %
+        query_pool.rows());
+  }
+  return ServeLive(workload, query_pool, row_start);
+}
+
+RuntimeResult
+ServingRuntime::Serve(const ArrivalTrace& workload,
+                      const ann::Matrix& query_pool,
+                      const QueryStream& stream) const {
+  RAGO_REQUIRE(!query_pool.empty(), "empty query pool");
+  RAGO_REQUIRE(stream.rows.size() == workload.arrivals.size(),
+               "query stream length must match the arrival trace");
+  std::vector<size_t> row_start(stream.rows.size());
+  for (size_t i = 0; i < stream.rows.size(); ++i) {
+    const int64_t row = stream.rows[i];
+    RAGO_REQUIRE(row >= 0 &&
+                     row < static_cast<int64_t>(query_pool.rows()),
+                 "query stream row out of pool range");
+    row_start[i] = static_cast<size_t>(row);
+  }
+  return ServeLive(workload, query_pool, row_start);
+}
+
+RuntimeResult
+ServingRuntime::ServeLive(const ArrivalTrace& workload,
+                          const ann::Matrix& query_pool,
+                          const std::vector<size_t>& row_start) const {
+  RAGO_REQUIRE(query_pool.dim() == index_.dim(),
+               "query pool dimensionality mismatch with the index");
+  const LiveRetrieval live{index_, pool_.get(), query_pool, row_start};
+  return RunEventLoop(model_, schedule_, options_, workload, &live);
+}
+
+RuntimeResult
+ServePriced(const PipelineModel& model, const core::Schedule& schedule,
+            const ArrivalTrace& workload, const RuntimeOptions& options) {
+  ValidateDeployment(model, schedule, options);
+  RAGO_REQUIRE(options.cache.retrieval_capacity == 0 &&
+                   options.cache.doc_capacity == 0,
+               "priced-only serving scans nothing, so it cannot cache");
+  return RunEventLoop(model, schedule, options, workload, nullptr);
 }
 
 }  // namespace rago::runtime

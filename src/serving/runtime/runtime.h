@@ -1,17 +1,19 @@
 /**
  * @file runtime.h
  * Online RAG serving runtime: a request-level scheduler that executes
- * a RAGO schedule against live traffic.
+ * a RAGO schedule against live traffic. Its event loop is the one
+ * serving engine in the tree; the serving DES (sim/serving_sim.h) is
+ * the same loop run priced-only (ServePriced).
  *
  * The analytical model (core/pipeline_model.h) predicts a schedule's
- * steady state and the DES (sim/serving_sim.h) replays it event by
- * event — but neither *serves* anything. This runtime closes the loop:
- * requests from a workload scenario (serving/runtime/workload.h) are
- * admitted through a bounded queue and driven through the schedule's
- * stage graph with per-stage continuous batching (size/timeout flush,
- * like the DES), and the retrieval stage executes **real**
- * ShardedIndex::SearchBatch scans — any backend/partitioner, SIMD
- * kernels and all — fanned out on the shared thread pool.
+ * steady state in closed form. This runtime serves it: requests from a
+ * workload scenario (serving/runtime/workload.h) are admitted through
+ * a bounded queue and driven through the schedule's stage graph with
+ * per-stage continuous batching (size/timeout flush), and the
+ * retrieval stage executes **real** ShardedIndex::SearchBatch scans —
+ * any backend/partitioner, SIMD kernels and all — fanned out on the
+ * shared thread pool. Without a live index (ServePriced) the same loop
+ * prices retrieval and scans nothing, which is the DES.
  *
  * Execution is hybrid: XPU stages (encoder/rewriter/rerank/prefix) and
  * decode consume modeled service times from the same PipelineModel
@@ -87,7 +89,9 @@ struct RuntimeOptions {
    * identical to the DES's treatment. Not owned; must outlive Serve.
    */
   const retrieval::RetrievalModel* retrieval_model = nullptr;
-  /// Per-stage queue-depth timeline samples kept (0 disables).
+  /// Per-stage queue-depth timeline samples kept (0 disables). While
+  /// tracing, each kept sample is also a depth and a utilization
+  /// counter event, so this caps the trace's counter tracks too.
   int timeline_limit = 4096;
   /**
    * Multi-level cache tier (serving/cache/rago_cache.h). With
@@ -257,6 +261,10 @@ struct RuntimeResult {
   int64_t event_heap_high_water = 0;
   int64_t decode_steps = 0;
 
+  /// Virtual occupancy per server (collocation groups by id, then the
+  /// retrieval tier), summed in batch-start order.
+  std::vector<double> server_busy_seconds;
+
   /// Real-scan accounting (host wall clock; *not* covered by the
   /// determinism contract, unlike everything above).
   double real_scan_seconds = 0.0;
@@ -315,7 +323,7 @@ class ServingRuntime {
   const RuntimeOptions& options() const { return options_; }
 
  private:
-  RuntimeResult ServeImpl(const ArrivalTrace& workload,
+  RuntimeResult ServeLive(const ArrivalTrace& workload,
                           const ann::Matrix& query_pool,
                           const std::vector<size_t>& row_start) const;
 
@@ -328,6 +336,20 @@ class ServingRuntime {
   /// follows this runtime's knob rather than the index's own default).
   std::unique_ptr<ThreadPool> pool_;
 };
+
+/**
+ * Serves `workload` through ServingRuntime's event loop with the
+ * retrieval stage priced only: its batches occupy the retrieval
+ * servers for their modeled service time, but nothing is scanned, so
+ * no neighbors are recorded (first_neighbor stays -1). Nonzero cache
+ * capacities throw ConfigError (the cache tier needs real results);
+ * num_threads, top_k and seed have no effect. Schemas without a
+ * retrieval stage are accepted. This is the serving DES.
+ */
+RuntimeResult ServePriced(const core::PipelineModel& model,
+                          const core::Schedule& schedule,
+                          const ArrivalTrace& workload,
+                          const RuntimeOptions& options);
 
 }  // namespace rago::runtime
 

@@ -8,7 +8,11 @@
  * arrival trace: requests queue per stage, collocation groups
  * time-multiplex their member stages (paper Fig. 14), the retrieval
  * tier serves fixed-size query batches, and decode runs continuous
- * batching. It serves two purposes:
+ * batching. There is one serving engine: SimulateServing is a
+ * priced-only run of the online runtime's event loop
+ * (runtime::ServePriced) with admission unbounded and no cache, so it
+ * agrees bit for bit on every virtual-clock output with a live Serve
+ * of the same trace under the same conditions. It serves two purposes:
  *  - validation: at saturation the measured throughput must approach
  *    the analytical QPS; at low load the TTFT must approach the sum
  *    of stage latencies (tested in tests/test_serving_sim.cc);
@@ -69,19 +73,19 @@ struct ServingSimOptions {
   const retrieval::RetrievalModel* retrieval_model = nullptr;
   /**
    * Optional span-trace recorder (serving/obs/trace.h): when set, the
-   * simulation appends arrival/queue/batch/stage/decode spans on the
-   * virtual clock — the same track layout the online runtime emits, so
-   * DES and runtime traces are directly comparable in chrome://tracing.
+   * simulation appends arrival/queue/batch/stage/decode spans and
+   * queue-depth/utilization counters on the virtual clock — the
+   * runtime's recording, minus the real-scan wall-clock args.
    * Observation-only: every ServingSimResult field is identical with
    * tracing on or off. Not owned; must outlive the call.
    */
   obs::TraceRecorder* trace = nullptr;
   /**
    * Optional windowed telemetry sink (serving/obs/timeseries.h): the
-   * simulation rolls offered/completed counts, TTFT/TPOT latencies,
-   * queue depths, and server busy time into fixed virtual-clock
-   * windows — the same rollup shape the online runtime feeds, so DES
-   * and runtime time series compare window for window.
+   * simulation rolls offered/completed counts, TTFT/TPOT/queue-wait
+   * latencies, queue depths, and server busy time into fixed
+   * virtual-clock windows — byte-identical to what the online runtime
+   * feeds for the same trace with admission out of reach and no cache.
    * Observation-only. Not owned; must outlive the call.
    */
   obs::TelemetryTimeSeries* timeseries = nullptr;
@@ -102,9 +106,8 @@ struct ServingSimOptions {
   std::string flight_dump_path;
   /**
    * SLO bounds used to classify completions for windowed attainment
-   * and burn-rate alerting. <= 0 disables that bound. Kept as plain
-   * doubles (not runtime::SloTarget) so the sim layer stays
-   * independent of the online runtime.
+   * and burn-rate alerting. <= 0 disables that bound (the runtime's
+   * SloTarget has no "disabled", so it becomes an infinite bound).
    */
   double slo_ttft_seconds = 0.0;
   double slo_tpot_seconds = 0.0;

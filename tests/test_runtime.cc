@@ -2,8 +2,8 @@
  * @file test_runtime.cc
  * Tests for the online serving runtime and its workload scenario
  * library: determinism across thread counts (bit-identical outcomes
- * and telemetry), bounded runtime-vs-DES disagreement on the operating
- * points both engines describe, SLO-attainment monotonicity under
+ * and telemetry), exact runtime-vs-DES agreement (the DES is the same
+ * event loop run priced-only), SLO-attainment monotonicity under
  * rising offered load, trace-file round-trips, and option validation.
  */
 #include <gtest/gtest.h>
@@ -676,11 +676,10 @@ TEST(ServingRuntimeTest, HistogramSampleCapSwitchoverIsSurfacedNotSilent) {
 }
 
 TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
-  // Runtime-vs-DES cross-check, mirroring the PR-4 DES-vs-analytical
-  // harness: both engines run the same schedule batching semantics on
-  // model-priced virtual time, so for the same Poisson trace their
-  // throughput and mean TTFT must agree within a tight bound — the
-  // runtime merely adds (bounded-but-large) admission and real scans.
+  // Runtime-vs-DES cross-check: both engines run the same batching
+  // semantics on model-priced virtual time, and the real scans feed
+  // results, never the clock. With admission out of reach the two must
+  // therefore agree bit for bit, not merely within a tolerance.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   opt::SearchOptions search = rago::testing::SmallSearchGrid();
   search.num_threads = 2;
@@ -706,12 +705,102 @@ TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
     const RuntimeResult live = runtime.Serve(trace, tier.queries);
 
     EXPECT_EQ(live.completed, des.completed);
-    RAGO_EXPECT_REL_NEAR(live.throughput, des.throughput, 0.05);
-    RAGO_EXPECT_REL_NEAR(live.ttft.Mean(), des.avg_ttft, 0.05);
-    RAGO_EXPECT_REL_NEAR(live.tpot.Mean(), des.avg_tpot, 0.05);
+    EXPECT_EQ(live.throughput, des.throughput);
+    EXPECT_EQ(live.makespan, des.makespan);
+    EXPECT_EQ(live.ttft.Mean(), des.avg_ttft);
+    EXPECT_EQ(live.ttft.Percentile(0.99), des.p99_ttft);
+    EXPECT_EQ(live.tpot.Mean(), des.avg_tpot);
+    EXPECT_EQ(live.decode_utilization, des.decode_utilization);
     ++points_checked;
   }
   EXPECT_GE(points_checked, 2);
+}
+
+TEST(ServingRuntimeTest, DesObservationSurfacesMatchTheRuntimeBytes) {
+  // With admission out of reach and no cache, SimulateServing is the
+  // runtime's event loop with retrieval priced instead of scanned. The
+  // serialized observation surfaces carry no scan results, so they
+  // must be the same bytes from both entry points.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const core::EndToEndPerf perf = model.Evaluate(schedule);
+  ASSERT_TRUE(perf.feasible);
+  // Over capacity, so queues build and queue waits are non-zero.
+  const ArrivalTrace trace = PoissonTrace(300, perf.qps * 1.2, 31);
+  const LiveTier tier = MakeLiveTier();
+  const SloTarget slo{perf.ttft * 2.0, perf.tpot * 2.0};
+  obs::TimeSeriesOptions ts_options;
+  ts_options.window_seconds = 0.1;
+  obs::SloAlertOptions alert_options;
+  alert_options.rules.push_back({});
+  alert_options.rules.back().short_window_seconds = 0.2;
+  alert_options.rules.back().long_window_seconds = 0.6;
+
+  obs::TelemetryTimeSeries live_series(ts_options);
+  obs::SloAlertEngine live_alerts(alert_options);
+  obs::FlightRecorder live_flight(64);
+  obs::TraceRecorder live_trace;
+  RuntimeOptions options;
+  options.admission_queue_limit = 1 << 20;
+  options.num_threads = 1;
+  options.slo = slo;
+  options.timeseries = &live_series;
+  options.alerts = &live_alerts;
+  options.flight = &live_flight;
+  options.trace = &live_trace;
+  const RuntimeResult live =
+      ServingRuntime(model, schedule, tier.index, options)
+          .Serve(trace, tier.queries);
+
+  obs::TelemetryTimeSeries des_series(ts_options);
+  obs::SloAlertEngine des_alerts(alert_options);
+  obs::FlightRecorder des_flight(64);
+  obs::TraceRecorder des_trace;
+  sim::ServingSimOptions des_options;
+  des_options.slo_ttft_seconds = slo.ttft_seconds;
+  des_options.slo_tpot_seconds = slo.tpot_seconds;
+  des_options.timeseries = &des_series;
+  des_options.alerts = &des_alerts;
+  des_options.flight = &des_flight;
+  des_options.trace = &des_trace;
+  const sim::ServingSimResult des =
+      sim::SimulateServing(model, schedule, trace, des_options);
+
+  EXPECT_EQ(live.completed, des.completed);
+  EXPECT_EQ(des_series.Json(), live_series.Json());
+  EXPECT_EQ(des_alerts.Json(), live_alerts.Json());
+  EXPECT_EQ(des_flight.Json(), live_flight.Json());
+  EXPECT_EQ(des_trace.RequestSummaryJson(), live_trace.RequestSummaryJson());
+
+  EXPECT_NE(des_flight.Json().find("rejected="), std::string::npos);
+  double des_queue_wait = 0.0;
+  for (const obs::WindowStats& window : des_series.Level(0)) {
+    des_queue_wait += window.queue_wait.Sum();
+  }
+  EXPECT_GT(des_queue_wait, 0.0);
+}
+
+TEST(ServingRuntimeTest, ServePricedScansNothingAndRejectsCaches) {
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const ArrivalTrace trace = PoissonTrace(60, 100.0, 7);
+
+  const RuntimeResult priced = ServePriced(model, schedule, trace, {});
+  EXPECT_EQ(priced.completed, 60);
+  EXPECT_EQ(priced.real_queries_scanned, 0);
+  for (const RequestOutcome& outcome : priced.requests) {
+    EXPECT_EQ(outcome.first_neighbor, -1);
+  }
+  ASSERT_EQ(priced.server_busy_seconds.size(),
+            static_cast<size_t>(schedule.NumGroups() + 1));
+  EXPECT_GT(priced.server_busy_seconds.back(), 0.0);
+
+  RuntimeOptions cached;
+  cached.cache.retrieval_capacity = 8;
+  EXPECT_THROW(ServePriced(model, schedule, trace, cached), ConfigError);
+  cached = {};
+  cached.cache.doc_capacity = 8;
+  EXPECT_THROW(ServePriced(model, schedule, trace, cached), ConfigError);
 }
 
 TEST(ServingRuntimeTest, SloAttainmentMonotoneUnderRisingLoad) {

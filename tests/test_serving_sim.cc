@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "core/pipeline_model.h"
 #include "core/schema.h"
 #include "hardware/cluster.h"
+#include "rago/optimizer.h"
 #include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
 
@@ -185,6 +187,67 @@ TEST(ServingSim, DeterministicForIdenticalInputs) {
   const ServingSimResult b = SimulateServing(model, schedule, trace);
   EXPECT_DOUBLE_EQ(a.avg_ttft, b.avg_ttft);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+}
+
+uint64_t FoldResult(uint64_t hash, const ServingSimResult& result) {
+  hash = FnvFoldU64(hash, static_cast<uint64_t>(result.completed));
+  for (double value :
+       {result.makespan, result.throughput, result.avg_ttft, result.p50_ttft,
+        result.p95_ttft, result.p99_ttft, result.avg_tpot, result.p50_tpot,
+        result.p95_tpot, result.p99_tpot, result.retrieval_utilization,
+        result.decode_utilization}) {
+    hash = FnvFoldDouble(hash, value);
+  }
+  hash = FnvFoldU64(hash, result.group_utilization.size());
+  for (double utilization : result.group_utilization) {
+    hash = FnvFoldDouble(hash, utilization);
+  }
+  return hash;
+}
+
+// Every ServingSimResult field, bit for bit, over the optimizer
+// frontier x {Poisson, burst, uniform} traffic x two flush timeouts.
+// Case IV adds collocated multi-stage groups, whose utilization sums
+// several stages per server. The hash was taken from the DES's own
+// event loop, before it became a priced-only run of the runtime's
+// engine, so it pins that the merge moved no result bit.
+TEST(ServingSim, ResultsArePinnedAcrossFrontierAndTraffic) {
+  const core::PipelineModel models[] = {
+      rago::testing::TinyHyperscaleModel(),
+      core::PipelineModel(rago::testing::TinyRewriterRerankerSchema(),
+                          DefaultCluster())};
+  uint64_t hash = kFnvOffset;
+  size_t runs = 0;
+  size_t points = 0;
+  for (const core::PipelineModel& model : models) {
+    opt::SearchOptions search = rago::testing::SmallSearchGrid();
+    search.num_threads = 2;
+    const opt::OptimizerResult frontier =
+        opt::Optimizer(model, search).Search();
+    ASSERT_FALSE(frontier.pareto.empty());
+    points += frontier.pareto.size();
+    for (const opt::ScheduledPoint& point : frontier.pareto) {
+      const double qps = point.perf.qps;
+      const ArrivalTrace traces[] = {PoissonTrace(200, qps * 0.8, 41),
+                                     BurstTrace(48),
+                                     UniformTrace(150, qps * 1.2)};
+      for (const ArrivalTrace& trace : traces) {
+        for (double timeout : {0.005, 0.05}) {
+          ServingSimOptions options;
+          options.batch_timeout = timeout;
+          const ServingSimResult result =
+              SimulateServing(model, point.schedule, trace, options);
+          EXPECT_EQ(result.completed,
+                    static_cast<int64_t>(trace.arrivals.size()));
+          hash = FoldResult(hash, result);
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 6 * points);
+  EXPECT_EQ(points, 18u);
+  EXPECT_EQ(hash, 5236333281597725790ull);
 }
 
 }  // namespace

@@ -30,14 +30,23 @@ IvfIndex::IvfIndex(Matrix data, Metric metric, const IvfOptions& options,
 
   // Regroup rows list-contiguously so each probe scans one block with
   // the batched kernels; ids stay ascending within a list, preserving
-  // the deterministic tie-break order of the old scattered scan.
-  reordered_ = Matrix(num_rows_, dim_);
+  // the deterministic tie-break order of the old scattered scan. Rows
+  // are split straight from `data`: no second fp32 copy exists.
+  const size_t plane = num_rows_ * dim_;
+  arena_ = HugePageArena(2 * plane * sizeof(uint16_t) +
+                         num_rows_ * sizeof(float));
+  auto* hi = static_cast<uint16_t*>(arena_.data());
+  uint16_t* lo = hi + plane;
+  auto* residual = reinterpret_cast<float*>(lo + plane);
   list_offsets_.resize(static_cast<size_t>(nlist_) + 1);
   size_t next = 0;
   for (size_t c = 0; c < lists_.size(); ++c) {
     list_offsets_[c] = next;
     for (int64_t id : lists_[c]) {
-      reordered_.CopyRowFrom(data, static_cast<size_t>(id), next++);
+      const float* row = data.Row(static_cast<size_t>(id));
+      kernels::SplitRow(row, dim_, hi + next * dim_, lo + next * dim_);
+      residual[next] = kernels::SplitResidualBound(metric_, row, dim_);
+      ++next;
     }
   }
   list_offsets_[lists_.size()] = next;
@@ -59,7 +68,9 @@ IvfIndex::NearestClusters(const float* query, int nprobe) const {
 
 std::vector<Neighbor>
 IvfIndex::SearchLists(const float* query, size_t k,
-                      const std::vector<int32_t>& clusters) const {
+                      const std::vector<int32_t>& clusters,
+                      IvfScanStats* stats) const {
+  const kernels::KernelTable& active = kernels::Active();
   TopK topk(k);
   for (int32_t cluster : clusters) {
     const auto c = static_cast<size_t>(cluster);
@@ -68,8 +79,16 @@ IvfIndex::SearchLists(const float* query, size_t k,
     if (count == 0) {
       continue;
     }
-    kernels::ScanRowsIntoTopK(metric_, query, reordered_.Row(begin), count,
-                              dim_, lists_[c].data(), /*base_id=*/0, topk);
+    const kernels::SplitRows rows{hi_plane() + begin * dim_,
+                                  lo_plane() + begin * dim_,
+                                  residuals() + begin};
+    const size_t verified = kernels::ScanSplitRowsIntoTopK(
+        active, metric_, query, rows, count, dim_, lists_[c].data(),
+        /*base_id=*/0, topk);
+    if (stats != nullptr) {
+      stats->probed_rows += static_cast<int64_t>(count);
+      stats->verified_rows += static_cast<int64_t>(verified);
+    }
   }
   return topk.SortedTake();
 }
@@ -77,11 +96,13 @@ IvfIndex::SearchLists(const float* query, size_t k,
 std::vector<Neighbor>
 IvfIndex::Search(const float* query, size_t k, int nprobe) const {
   RAGO_REQUIRE(nprobe > 0, "nprobe must be positive");
-  return SearchLists(query, k, NearestClusters(query, nprobe));
+  return SearchLists(query, k, NearestClusters(query, nprobe),
+                     /*stats=*/nullptr);
 }
 
 std::vector<std::vector<Neighbor>>
-IvfIndex::SearchBatch(const Matrix& queries, size_t k, int nprobe) const {
+IvfIndex::SearchBatch(const Matrix& queries, size_t k, int nprobe,
+                      IvfScanStats* stats) const {
   RAGO_REQUIRE(queries.dim() == dim_, "query dimensionality mismatch");
   RAGO_REQUIRE(nprobe > 0, "nprobe must be positive");
   // Rank coarse centroids for the whole block at once (micro-tile
@@ -91,7 +112,7 @@ IvfIndex::SearchBatch(const Matrix& queries, size_t k, int nprobe) const {
       RankCentroidsBatch(queries, centroids_, nprobe);
   std::vector<std::vector<Neighbor>> out(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    out[q] = SearchLists(queries.Row(q), k, ranked[q]);
+    out[q] = SearchLists(queries.Row(q), k, ranked[q], stats);
   }
   return out;
 }

@@ -6,10 +6,15 @@
  * quantizer; a query scans only the `nprobe` nearest clusters. This is
  * the uncompressed building block beneath IVF-PQ.
  *
- * Storage is list-contiguous: at build time the database rows are
- * regrouped so each inverted list occupies one contiguous block, and
- * in-list scans run through the batched distance kernels
- * (kernels/distance_kernels.h) instead of per-row pointer chasing.
+ * Storage is list-contiguous and split-plane: at build time the
+ * database rows are regrouped so each inverted list occupies one
+ * contiguous block, stored as two 16-bit planes — the high half-words
+ * of every float (a truncated bf16 copy) and the low half-words — plus
+ * one residual bound per row, all in one huge-page arena. A list scan
+ * (kernels::ScanSplitRowsIntoTopK) reads the high plane of every row
+ * and the low plane only of rows whose lower bound can still reach
+ * the top-k; results are bit-identical to an fp32 scan of the
+ * original rows.
  */
 #ifndef RAGO_RETRIEVAL_ANN_IVF_INDEX_H
 #define RAGO_RETRIEVAL_ANN_IVF_INDEX_H
@@ -17,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/huge_page_arena.h"
 #include "common/rng.h"
 #include "retrieval/ann/distance.h"
 #include "retrieval/ann/kmeans.h"
@@ -31,9 +37,17 @@ struct IvfOptions {
   int kmeans_iterations = 10;
 };
 
+/// What a batch of list scans read, in rows.
+struct IvfScanStats {
+  int64_t probed_rows = 0;    ///< Rows of probed lists (high plane read).
+  int64_t verified_rows = 0;  ///< Rows scored in fp32 (low plane read).
+};
+
 /// Inverted-file index over an in-memory database.
 class IvfIndex {
  public:
+  /// Trains the coarse quantizer on `data` and writes its rows into the
+  /// split planes; `data` is released when construction returns.
   IvfIndex(Matrix data, Metric metric, const IvfOptions& options, Rng& rng);
 
   /**
@@ -48,8 +62,9 @@ class IvfIndex {
    * ranked for the whole block through the micro-tile kernel
    * (coarse_rank.h); results are exactly per-query Search's.
    */
-  std::vector<std::vector<Neighbor>> SearchBatch(const Matrix& queries,
-                                                 size_t k, int nprobe) const;
+  std::vector<std::vector<Neighbor>> SearchBatch(
+      const Matrix& queries, size_t k, int nprobe,
+      IvfScanStats* stats = nullptr) const;
 
   /// Number of database vectors a query with `nprobe` scans on average.
   double ExpectedScannedVectors(int nprobe) const;
@@ -66,9 +81,19 @@ class IvfIndex {
   std::vector<int32_t> NearestClusters(const float* query, int nprobe) const;
 
   /// Scans the given ranked clusters' lists for one query.
-  std::vector<Neighbor> SearchLists(
-      const float* query, size_t k,
-      const std::vector<int32_t>& clusters) const;
+  std::vector<Neighbor> SearchLists(const float* query, size_t k,
+                                    const std::vector<int32_t>& clusters,
+                                    IvfScanStats* stats) const;
+
+  /// The high / low half-word planes and the per-row residual bounds,
+  /// row-major in list order, carved from arena_.
+  const uint16_t* hi_plane() const {
+    return static_cast<const uint16_t*>(arena_.data());
+  }
+  const uint16_t* lo_plane() const { return hi_plane() + num_rows_ * dim_; }
+  const float* residuals() const {
+    return reinterpret_cast<const float*>(lo_plane() + num_rows_ * dim_);
+  }
 
   Metric metric_;
   int nlist_ = 0;
@@ -77,10 +102,10 @@ class IvfIndex {
   Matrix centroids_;
   /// Per-list original row ids, ascending within each list.
   std::vector<std::vector<int64_t>> lists_;
-  /// Database rows regrouped list-contiguously: list c occupies rows
-  /// [list_offsets_[c], list_offsets_[c + 1]) of reordered_, in the
-  /// same order as lists_[c].
-  Matrix reordered_;
+  /// Database rows regrouped list-contiguously in split-plane form:
+  /// list c occupies rows [list_offsets_[c], list_offsets_[c + 1]) of
+  /// each plane, in the same order as lists_[c].
+  HugePageArena arena_;
   std::vector<size_t> list_offsets_;
 };
 

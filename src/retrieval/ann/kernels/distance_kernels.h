@@ -52,12 +52,24 @@
  *    layouts — given the same table.
  *  - Degenerate ADC shapes are well-defined in every variant:
  *    num_codes == 0 writes nothing, m == 0 writes 0.0f per code.
+ *
+ * Split-plane rows: a float row can be stored as two 16-bit planes,
+ * the high half-words (a truncated bf16 copy) and the low half-words;
+ * `(hi << 16) | lo` reassembles every original bit pattern.
+ * ScanSplitRowsIntoTopK scores the high plane first through the
+ * `*_hi_batch` slots, drops a row only when a conservative lower bound
+ * on its fp32 distance already exceeds the TopK threshold, and scores
+ * the survivors with the ordinary fp32 batch kernels — so its results
+ * are bit-identical to ScanRowsIntoTopK over the reassembled rows in
+ * every variant, while most rows cost half the bytes (the VA-file
+ * idea: Weber, Schek & Blott, VLDB 1998).
  */
 #ifndef RAGO_RETRIEVAL_ANN_KERNELS_DISTANCE_KERNELS_H
 #define RAGO_RETRIEVAL_ANN_KERNELS_DISTANCE_KERNELS_H
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "retrieval/ann/distance.h"
@@ -123,6 +135,24 @@ struct KernelTable {
    */
   void (*adc_packed)(const float* table, const uint8_t* packed,
                      size_t num_codes, size_t m, float* out);
+
+  /**
+   * High-plane L2 scan: out[i] = squared L2 distance of `query` to the
+   * bf16 truncation of row i, whose element d is the float with bit
+   * pattern `hi[i * dim + d] << 16`. Feeds the lower bound of
+   * ScanSplitRowsIntoTopK, which assumes only that the error is within
+   * the fp32 kernels' bound (gamma = 2 (dim + 8) 2^-24 of the sum of
+   * the terms' magnitudes), so the summation order is free: the SIMD
+   * bodies reuse the fp32 kernels' sequence, the scalar body keeps four
+   * partial sums.
+   */
+  void (*l2sq_hi_batch)(const float* query, const uint16_t* hi,
+                        size_t num_rows, size_t dim, float* out);
+
+  /// High-plane dot products: out[i] = Dot(query, bf16 row i), within
+  /// the same error bound.
+  void (*dot_hi_batch)(const float* query, const uint16_t* hi,
+                       size_t num_rows, size_t dim, float* out);
 };
 
 /// The portable scalar reference kernels (always available).
@@ -247,6 +277,62 @@ void ScanTileIntoTopK(Metric metric, const float* queries,
 size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
                 size_t dim, std::vector<float>& scratch,
                 float* min_dist = nullptr);
+
+// ---------------------------------------------------------------------------
+// Split-plane rows.
+// ---------------------------------------------------------------------------
+
+/// The float whose bit pattern is `hi << 16`: a bf16 value, widened
+/// exactly.
+inline float HighHalfToFloat(uint16_t hi) {
+  const uint32_t bits = static_cast<uint32_t>(hi) << 16;
+  float value = 0.0f;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+/// Splits each float of `row` into its high and low 16-bit half-words.
+void SplitRow(const float* row, size_t dim, uint16_t* hi, uint16_t* lo);
+
+/// Inverse of SplitRow: row[d] gets the bit pattern (hi[d] << 16) | lo[d].
+void JoinRow(const uint16_t* hi, const uint16_t* lo, size_t dim,
+             float* row);
+
+/**
+ * The per-row residual ScanSplitRowsIntoTopK's lower bound needs,
+ * rounded up to float. For L2 it is r = |x - hi(x)|, the norm of what
+ * the high plane drops. For inner product it is r plus the fp32 dot
+ * product's rounding slack, gamma * (|x| + |hi(x)|). A row holding a
+ * non-finite element gets +inf, which no bound can exceed, so it is
+ * always verified in fp32.
+ */
+float SplitResidualBound(Metric metric, const float* row, size_t dim);
+
+/// `num_rows` rows in split-plane form (row-major planes, stride dim).
+struct SplitRows {
+  const uint16_t* hi = nullptr;  ///< High half-words, num_rows x dim.
+  const uint16_t* lo = nullptr;  ///< Low half-words, num_rows x dim.
+  const float* residuals = nullptr;  ///< SplitResidualBound per row.
+};
+
+/**
+ * Exact scan of split-plane rows into `topk`, bit-identical (ids,
+ * distances, tie-breaks) to ScanRowsIntoTopK over the reassembled
+ * rows with the same kernel table. Per 16-row tile: while the
+ * TopK threshold is finite, the high plane is scored through
+ * `*_hi_batch` and a row is dropped only when its lower bound —
+ * (sqrt(d_hi) - r)^2 for L2, -q.hi - |q| r for inner product, each
+ * shrunk by the fp32 summation-error margin — strictly exceeds the
+ * threshold, where TopK::Push would reject it anyway. Survivors are
+ * reassembled and scored with `l2sq_batch` / `dot_batch`, then pushed
+ * in row order. Candidate ids are `ids[i]` when non-null, else
+ * `base_id + i`. Returns the number of rows scored in fp32 (whose low
+ * plane was read).
+ */
+size_t ScanSplitRowsIntoTopK(const KernelTable& kernels, Metric metric,
+                             const float* query, const SplitRows& rows,
+                             size_t num_rows, size_t dim, const int64_t* ids,
+                             int64_t base_id, TopK& topk);
 
 // ---------------------------------------------------------------------------
 // Overloads backed by one per-thread reusable scratch buffer. The scan

@@ -341,9 +341,89 @@ void Avx2AdcPacked(const float* table, const uint8_t* packed,
   }
 }
 
+/// Eight high half-words widened exactly to the floats `hi << 16`.
+inline __m256 WidenHigh(const uint16_t* hi) {
+  const __m128i half =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi));
+  return _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_cvtepu16_epi32(half), 16));
+}
+
+/// High-plane L2 / dot scans: the fp32 kernels' per-row sequence with
+/// each row load replaced by a widened half-word load (four rows per
+/// pass, then single rows), so their error obeys the fp32 kernels'
+/// bound.
+template <bool kL2>
+void Avx2HiBatch(const float* query, const uint16_t* hi, size_t num_rows,
+                 size_t dim, float* out) {
+  auto term = [](__m256 q, __m256 r, __m256 acc) {
+    if constexpr (kL2) {
+      const __m256 diff = _mm256_sub_ps(q, r);
+      return _mm256_fmadd_ps(diff, diff, acc);
+    } else {
+      return _mm256_fmadd_ps(q, r, acc);
+    }
+  };
+  auto tail = [](float q, uint16_t h) {
+    const float r = HighHalfToFloat(h);
+    if constexpr (kL2) {
+      return (q - r) * (q - r);
+    } else {
+      return q * r;
+    }
+  };
+  size_t i = 0;
+  for (; i + 4 <= num_rows; i += 4) {
+    const uint16_t* r0 = hi + (i + 0) * dim;
+    const uint16_t* r1 = hi + (i + 1) * dim;
+    const uint16_t* r2 = hi + (i + 2) * dim;
+    const uint16_t* r3 = hi + (i + 3) * dim;
+    __m256 a0 = _mm256_setzero_ps();
+    __m256 a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps();
+    __m256 a3 = _mm256_setzero_ps();
+    size_t d = 0;
+    for (; d + 8 <= dim; d += 8) {
+      const __m256 q = _mm256_loadu_ps(query + d);
+      a0 = term(q, WidenHigh(r0 + d), a0);
+      a1 = term(q, WidenHigh(r1 + d), a1);
+      a2 = term(q, WidenHigh(r2 + d), a2);
+      a3 = term(q, WidenHigh(r3 + d), a3);
+    }
+    float s0 = HorizontalSum(a0);
+    float s1 = HorizontalSum(a1);
+    float s2 = HorizontalSum(a2);
+    float s3 = HorizontalSum(a3);
+    for (; d < dim; ++d) {
+      s0 += tail(query[d], r0[d]);
+      s1 += tail(query[d], r1[d]);
+      s2 += tail(query[d], r2[d]);
+      s3 += tail(query[d], r3[d]);
+    }
+    out[i + 0] = s0;
+    out[i + 1] = s1;
+    out[i + 2] = s2;
+    out[i + 3] = s3;
+  }
+  for (; i < num_rows; ++i) {
+    const uint16_t* row = hi + i * dim;
+    __m256 acc = _mm256_setzero_ps();
+    size_t d = 0;
+    for (; d + 8 <= dim; d += 8) {
+      acc = term(_mm256_loadu_ps(query + d), WidenHigh(row + d), acc);
+    }
+    float sum = HorizontalSum(acc);
+    for (; d < dim; ++d) {
+      sum += tail(query[d], row[d]);
+    }
+    out[i] = sum;
+  }
+}
+
 const KernelTable kAvx2Table = {
-    "avx2",     Avx2L2Batch, Avx2DotBatch, Avx2L2Tile,
-    Avx2DotTile, Avx2AdcBatch, Avx2AdcPacked,
+    "avx2",           Avx2L2Batch,       Avx2DotBatch,
+    Avx2L2Tile,       Avx2DotTile,       Avx2AdcBatch,
+    Avx2AdcPacked,    Avx2HiBatch<true>, Avx2HiBatch<false>,
 };
 
 }  // namespace

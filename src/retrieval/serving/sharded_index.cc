@@ -75,17 +75,37 @@ class IvfEngine : public ShardEngine {
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
       override {
-    *scan_bytes += BytesPerQuery() * static_cast<double>(queries.rows());
-    return index_->SearchBatch(queries, k, nprobe_);
+    // Charge what the split-plane scan actually read: probes are
+    // size-biased, so the rows of the probed lists, not the average
+    // list size, set the bytes.
+    ann::IvfScanStats scan;
+    auto results = index_->SearchBatch(queries, k, nprobe_, &scan);
+    *scan_bytes += static_cast<double>(scan.probed_rows) * ProbedRowBytes() +
+                   static_cast<double>(scan.verified_rows) * HalfRowBytes() +
+                   CentroidBytes() * static_cast<double>(queries.rows());
+    return results;
   }
 
   double BytesPerQuery() const override {
-    // In-list exact distances plus the coarse centroid scan.
-    return (index_->ExpectedScannedVectors(nprobe_) + index_->nlist()) *
-           static_cast<double>(dim_) * sizeof(float);
+    // A priori: the average probe, every row verified in fp32.
+    return index_->ExpectedScannedVectors(nprobe_) *
+               (ProbedRowBytes() + HalfRowBytes()) +
+           CentroidBytes();
   }
 
  private:
+  /// One plane of one row: dim half-words.
+  double HalfRowBytes() const {
+    return static_cast<double>(dim_) * sizeof(uint16_t);
+  }
+  /// Every probed row's high plane and residual bound.
+  double ProbedRowBytes() const { return HalfRowBytes() + sizeof(float); }
+  /// The coarse centroid scan, once per query.
+  double CentroidBytes() const {
+    return static_cast<double>(index_->nlist()) *
+           static_cast<double>(dim_) * sizeof(float);
+  }
+
   int nprobe_;
   size_t dim_;
   std::unique_ptr<ann::IvfIndex> index_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <map>
 #include <queue>
 #include <utility>
@@ -451,7 +452,7 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
     // Measurement only (real_scan_wall_s). rago-lint: allow(wallclock)
     const Clock::time_point scan_start = Clock::now();
     serving::ShardSearchStats stats;
-    const auto neighbors = live->index.SearchBatch(
+    auto neighbors = live->index.SearchBatch(
         batch_queries, static_cast<size_t>(options.top_k), live->pool,
         &stats);
     result.real_scan_seconds += SecondsSince(scan_start);
@@ -461,9 +462,13 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
 
     row = 0;
     for (int id : members) {
+      // Each member's lists are moved out, not copied: `neighbors` is
+      // not read again.
       std::vector<std::vector<ann::Neighbor>> per_query(
-          neighbors.begin() + static_cast<long>(row),
-          neighbors.begin() + static_cast<long>(row + qpr));
+          std::make_move_iterator(neighbors.begin() +
+                                  static_cast<long>(row)),
+          std::make_move_iterator(neighbors.begin() +
+                                  static_cast<long>(row + qpr)));
       row += static_cast<size_t>(qpr);
       record_retrieval(id, per_query);
       if (retrieval_cache.enabled()) {

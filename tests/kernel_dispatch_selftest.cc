@@ -5,7 +5,8 @@
  * Prints the compiled/detected/active kernel variants, then checks the
  * dispatch invariants fast enough for every CI job: scalar/dispatched
  * value agreement across remainder-lane dims, batch-vs-tile
- * bit-identity, ADC bit-identity, and the force-scalar override.
+ * bit-identity, ADC bit-identity, the split-plane slots and scan on a
+ * partial tail, and the force-scalar override.
  * CTest runs it twice — dispatched, and with RAGO_FORCE_SCALAR_KERNELS
  * set — so the scalar fallback path stays green on non-AVX runners.
  * Exits 0 on success, 1 on the first failed check.
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/packed_codes.h"
+#include "retrieval/ann/topk.h"
 
 namespace {
 
@@ -117,6 +119,66 @@ void CheckAdcAgreement() {
   }
 }
 
+void CheckSplitPlanes() {
+  Rng rng(103);
+  const kernels::KernelTable& active = kernels::Active();
+  for (size_t dim : {size_t{1}, size_t{7}, size_t{9}, size_t{64},
+                     size_t{100}}) {
+    const size_t rows = 37;  // Two full 16-row tiles and a partial one.
+    const std::vector<float> query = RandomBlock(rng, dim);
+    const std::vector<float> data = RandomBlock(rng, rows * dim);
+    std::vector<uint16_t> hi(rows * dim);
+    std::vector<uint16_t> lo(rows * dim);
+    std::vector<float> widened(rows * dim);
+    std::vector<float> residuals(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      kernels::SplitRow(data.data() + i * dim, dim, hi.data() + i * dim,
+                        lo.data() + i * dim);
+      residuals[i] = kernels::SplitResidualBound(rago::ann::Metric::kL2,
+                                                 data.data() + i * dim, dim);
+    }
+    for (size_t j = 0; j < rows * dim; ++j) {
+      widened[j] = kernels::HighHalfToFloat(hi[j]);
+    }
+    // The high-plane slots agree with the fp32 kernels on the widened
+    // rows up to summation order.
+    std::vector<float> from_hi(rows);
+    std::vector<float> from_widened(rows);
+    active.l2sq_hi_batch(query.data(), hi.data(), rows, dim, from_hi.data());
+    active.l2sq_batch(query.data(), widened.data(), rows, dim,
+                      from_widened.data());
+    for (size_t i = 0; i < rows; ++i) {
+      const float scale = std::fmax(std::fabs(from_widened[i]), 1.0f);
+      Check(std::fabs(from_hi[i] - from_widened[i]) <= 1e-5f * scale,
+            "l2sq_hi_batch agrees with l2sq_batch on widened rows");
+    }
+    active.dot_hi_batch(query.data(), hi.data(), rows, dim, from_hi.data());
+    active.dot_batch(query.data(), widened.data(), rows, dim,
+                     from_widened.data());
+    for (size_t i = 0; i < rows; ++i) {
+      const float scale = std::fmax(std::fabs(from_widened[i]), 1.0f);
+      Check(std::fabs(from_hi[i] - from_widened[i]) <= 1e-5f * scale,
+            "dot_hi_batch agrees with dot_batch on widened rows");
+    }
+    // The split scan returns the fp32 scan's neighbors exactly.
+    rago::ann::TopK want(5);
+    rago::ann::TopK got(5);
+    kernels::ScanRowsIntoTopK(rago::ann::Metric::kL2, query.data(),
+                              data.data(), rows, dim, nullptr, 0, want);
+    const kernels::SplitRows split{hi.data(), lo.data(), residuals.data()};
+    kernels::ScanSplitRowsIntoTopK(active, rago::ann::Metric::kL2,
+                                   query.data(), split, rows, dim, nullptr,
+                                   0, got);
+    const std::vector<rago::ann::Neighbor> a = want.SortedTake();
+    const std::vector<rago::ann::Neighbor> b = got.SortedTake();
+    bool same = a.size() == b.size();
+    for (size_t i = 0; same && i < a.size(); ++i) {
+      same = a[i].id == b[i].id && a[i].dist == b[i].dist;
+    }
+    Check(same, "ScanSplitRowsIntoTopK bit-identical to ScanRowsIntoTopK");
+  }
+}
+
 void CheckForceScalarOverride() {
   const bool was_forced = kernels::ForceScalarActive();
   kernels::SetForceScalar(true);
@@ -144,6 +206,7 @@ int main() {
 
   CheckVariantAgreement();
   CheckAdcAgreement();
+  CheckSplitPlanes();
   CheckForceScalarOverride();
 
   if (g_failures > 0) {

@@ -14,6 +14,7 @@
 #include "retrieval/ann/flat_index.h"
 #include "retrieval/ann/ivf_index.h"
 #include "retrieval/ann/ivfpq_index.h"
+#include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/recall.h"
 #include "retrieval/ann/scann_tree.h"
 #include "tests/testing/test_support.h"
@@ -128,6 +129,66 @@ TEST(IvfIndex, RecallImprovesWithNprobe) {
   }
   EXPECT_NEAR(recalls.back(), 1.0, 1e-9);  // nprobe = nlist is exact.
   EXPECT_LT(recalls.front(), 1.0);         // Tiny probe misses some.
+}
+
+TEST(IvfIndex, FullProbeIsBitIdenticalToFlatForBothMetrics) {
+  // The split-plane list scan is exact: probing every list returns the
+  // flat fp32 scan's ids and distance bits, under scalar and dispatched
+  // kernels alike.
+  const TestBed bed = MakeBed(1500, 24, 12);
+  for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    Rng rng(8);
+    IvfOptions options;
+    options.nlist = 12;
+    const IvfIndex ivf(Copy(bed.data), metric, options, rng);
+    const FlatIndex flat(Copy(bed.data), metric);
+    for (bool force_scalar : {true, false}) {
+      const bool was_forced = kernels::ForceScalarActive();
+      kernels::SetForceScalar(force_scalar);
+      for (size_t q = 0; q < bed.queries.rows(); ++q) {
+        const auto got = ivf.Search(bed.queries.Row(q), 7, /*nprobe=*/12);
+        const auto want = flat.Search(bed.queries.Row(q), 7);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << "query " << q;
+          EXPECT_EQ(got[i].dist, want[i].dist) << "query " << q;
+        }
+      }
+      kernels::SetForceScalar(was_forced);
+    }
+  }
+}
+
+TEST(IvfIndex, SearchBatchEqualsSearchAndCountsProbedRows) {
+  const TestBed bed = MakeBed(2000, 16, 20);
+  for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    Rng rng(9);
+    IvfOptions options;
+    options.nlist = 16;
+    const IvfIndex ivf(Copy(bed.data), metric, options, rng);
+    IvfScanStats stats;
+    const auto batched = ivf.SearchBatch(bed.queries, 10, /*nprobe=*/3,
+                                         &stats);
+    for (size_t q = 0; q < bed.queries.rows(); ++q) {
+      const auto single = ivf.Search(bed.queries.Row(q), 10, 3);
+      ASSERT_EQ(batched[q].size(), single.size());
+      for (size_t i = 0; i < single.size(); ++i) {
+        EXPECT_EQ(batched[q][i].id, single[i].id);
+        EXPECT_EQ(batched[q][i].dist, single[i].dist);
+      }
+    }
+    // Three lists per query, each read in its high plane; only the
+    // rows that can still reach the top-10 also read the low plane.
+    EXPECT_GT(stats.probed_rows, 0);
+    EXPECT_GE(stats.verified_rows,
+              static_cast<int64_t>(10 * bed.queries.rows()));
+    EXPECT_LT(stats.verified_rows, stats.probed_rows);
+    // Probing every list reads every row once per query.
+    IvfScanStats full;
+    ivf.SearchBatch(bed.queries, 10, /*nprobe=*/16, &full);
+    EXPECT_EQ(full.probed_rows,
+              static_cast<int64_t>(2000 * bed.queries.rows()));
+  }
 }
 
 TEST(IvfIndex, ExpectedScannedVectorsScalesWithProbe) {

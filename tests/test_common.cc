@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/histogram.h"
+#include "common/huge_page_arena.h"
 #include "common/json_reader.h"
 #include "common/json_writer.h"
 #include "common/metrics.h"
@@ -28,6 +31,37 @@
 
 namespace rago {
 namespace {
+
+TEST(HugePageArena, AlignsAndAdvisesOnlyWholeExtents) {
+  const size_t extent = HugePageArena::kHugePageBytes;
+  const HugePageArena empty(0);
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.advised_bytes(), 0u);
+
+  // 2.5 extents: the two whole ones may be advised, the tail never.
+  HugePageArena arena(2 * extent + extent / 2);
+  ASSERT_NE(arena.data(), nullptr);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.data()) % extent, 0u);
+  EXPECT_EQ(arena.size(), 2 * extent + extent / 2);
+  EXPECT_TRUE(arena.advised_bytes() == 0 ||
+              arena.advised_bytes() == 2 * extent);
+  // The whole block is writable, first byte to last.
+  auto* bytes = static_cast<unsigned char*>(arena.data());
+  bytes[0] = 1;
+  bytes[arena.size() - 1] = 2;
+
+  // Smaller than one extent: nothing to advise.
+  EXPECT_EQ(HugePageArena(extent - 1).advised_bytes(), 0u);
+
+  HugePageArena moved(std::move(arena));
+  EXPECT_EQ(moved.size(), 2 * extent + extent / 2);
+  EXPECT_EQ(static_cast<unsigned char*>(moved.data())[0], 1);
+  EXPECT_EQ(arena.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+  HugePageArena assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(static_cast<unsigned char*>(assigned.data())[0], 1);
+  EXPECT_EQ(assigned.size(), 2 * extent + extent / 2);
+}
 
 TEST(Units, DecimalAndBinaryMultipliers) {
   EXPECT_DOUBLE_EQ(kKilo, 1e3);

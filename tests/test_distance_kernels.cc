@@ -2,7 +2,8 @@
  * @file test_distance_kernels.cc
  * Tests for the batched distance-kernel layer: scalar/dispatched
  * parity across remainder-lane dims and unaligned bases, batch-vs-tile
- * bit-identity, ADC bit-identity, deterministic tie-breaks, and
+ * bit-identity, ADC bit-identity, deterministic tie-breaks, split-
+ * plane scans bit-identical to fp32 scans in every variant, and
  * end-to-end id parity (exact paths) / recall parity (approximate
  * paths) between the scalar and dispatched variants.
  */
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -589,6 +592,373 @@ TEST(DistanceKernels, HnswRecallParityScalarVsDispatched) {
   EXPECT_GT(scalar_recall, 0.85);
   EXPECT_GT(dispatched_recall, 0.85);
   EXPECT_NEAR(scalar_recall, dispatched_recall, 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// Split-plane scans: ScanSplitRowsIntoTopK must equal an fp32 scan of the
+// reassembled rows bit for bit (ids, distance bits, tie-breaks) through
+// every compiled kernel table.
+// ---------------------------------------------------------------------------
+
+float FromBits(uint32_t bits) {
+  float value = 0.0f;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+uint32_t ToBits(float value) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Rows held both as fp32 and as split planes with residual bounds.
+struct SplitFixture {
+  SplitFixture(std::vector<float> values, size_t row_dim, Metric metric)
+      : dim(row_dim), rows(std::move(values)), hi(rows.size()),
+        lo(rows.size()), residuals(rows.size() / row_dim) {
+    for (size_t i = 0; i < residuals.size(); ++i) {
+      SplitRow(rows.data() + i * dim, dim, hi.data() + i * dim,
+               lo.data() + i * dim);
+      residuals[i] = SplitResidualBound(metric, rows.data() + i * dim, dim);
+    }
+  }
+  size_t num_rows() const { return residuals.size(); }
+  /// Rows [first, first + count) as a split view.
+  SplitRows View(size_t first) const {
+    return {hi.data() + first * dim, lo.data() + first * dim,
+            residuals.data() + first};
+  }
+
+  size_t dim;
+  std::vector<float> rows;
+  std::vector<uint16_t> hi;
+  std::vector<uint16_t> lo;
+  std::vector<float> residuals;
+};
+
+/// ScanRowsIntoTopK's loop through an explicit table: distances of every
+/// row in order (inner product negated like DistanceBatch), pushed in
+/// row order.
+std::vector<Neighbor> ReferenceScan(const KernelTable& table, Metric metric,
+                                    const float* query,
+                                    const SplitFixture& fx,
+                                    const int64_t* ids, size_t k) {
+  std::vector<float> dists(fx.num_rows());
+  if (metric == Metric::kL2) {
+    table.l2sq_batch(query, fx.rows.data(), fx.num_rows(), fx.dim,
+                     dists.data());
+  } else {
+    table.dot_batch(query, fx.rows.data(), fx.num_rows(), fx.dim,
+                    dists.data());
+    for (float& d : dists) {
+      d = -d;
+    }
+  }
+  TopK topk(k);
+  for (size_t i = 0; i < fx.num_rows(); ++i) {
+    topk.Push(dists[i], ids != nullptr ? ids[i] : static_cast<int64_t>(i));
+  }
+  return topk.SortedTake();
+}
+
+/// The split scan over `fx`, cut into lists at `cuts` (one TopK across
+/// them, as an IVF probe sequence carries it).
+std::vector<Neighbor> SplitScan(const KernelTable& table, Metric metric,
+                                const float* query, const SplitFixture& fx,
+                                const int64_t* ids, size_t k,
+                                const std::vector<size_t>& cuts,
+                                size_t* verified = nullptr) {
+  TopK topk(k);
+  size_t first = 0;
+  size_t total = 0;
+  std::vector<size_t> ends = cuts;
+  ends.push_back(fx.num_rows());
+  for (size_t end : ends) {
+    total += ScanSplitRowsIntoTopK(table, metric, query, fx.View(first),
+                                   end - first, fx.dim,
+                                   ids != nullptr ? ids + first : nullptr,
+                                   static_cast<int64_t>(first), topk);
+    first = end;
+  }
+  if (verified != nullptr) {
+    *verified = total;
+  }
+  return topk.SortedTake();
+}
+
+void ExpectBitIdentical(const std::vector<Neighbor>& want,
+                        const std::vector<Neighbor>& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].id, got[i].id) << what << " rank " << i;
+    EXPECT_EQ(ToBits(want[i].dist), ToBits(got[i].dist))
+        << what << " rank " << i;
+  }
+}
+
+const char* MetricName(Metric metric) {
+  return metric == Metric::kL2 ? "l2" : "ip";
+}
+
+TEST(SplitPlanes, SplitThenJoinRoundTripsEveryBitPattern) {
+  // (hi << 16) | lo must restore every float bit pattern exactly:
+  // NaN payloads, signed zeros, subnormals and infinities included.
+  Rng rng(41);
+  std::vector<uint32_t> patterns = {
+      0x00000000u, 0x80000000u, 0x00000001u, 0x0000FFFFu, 0x00010000u,
+      0x807FFFFFu, 0x7F7FFFFFu, 0xFF7FFFFFu, 0x7F800000u, 0xFF800000u,
+      0x7FC00000u, 0x7F800001u, 0xFFFFFFFFu, 0x3F800000u, 0x3F80FFFFu};
+  for (int i = 0; i < 4000; ++i) {
+    patterns.push_back(static_cast<uint32_t>(rng.NextU64()));
+  }
+  std::vector<float> row(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    row[i] = FromBits(patterns[i]);
+  }
+  std::vector<uint16_t> hi(row.size());
+  std::vector<uint16_t> lo(row.size());
+  std::vector<float> joined(row.size());
+  SplitRow(row.data(), row.size(), hi.data(), lo.data());
+  JoinRow(hi.data(), lo.data(), row.size(), joined.data());
+  EXPECT_EQ(std::memcmp(row.data(), joined.data(), row.size() * sizeof(float)),
+            0);
+  for (size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(ToBits(HighHalfToFloat(hi[i])), patterns[i] & 0xFFFF0000u);
+  }
+}
+
+TEST(SplitPlanes, KernelErrorStaysWithinTheBoundsMargin) {
+  // The split scan's margin assumes every variant's fp32 kernels and
+  // high-plane slots err by at most gamma = 2 (dim + 8) 2^-24 times the
+  // sum of the terms' magnitudes. Check it against double-precision
+  // sums, on the original rows (fp32 kernels) and on the widened high
+  // halves (high-plane slots).
+  Rng rng(45);
+  const size_t rows = 13;  // Three 4-row groups and a single-row tail.
+  for (size_t dim : {size_t{1}, size_t{7}, size_t{9}, size_t{64},
+                     size_t{100}, size_t{1000}}) {
+    const double gamma = 2.0 * (static_cast<double>(dim) + 8.0) * 0x1p-24;
+    const std::vector<float> query = RandomBlock(rng, dim);
+    const std::vector<float> data = RandomBlock(rng, rows * dim);
+    std::vector<uint16_t> hi(rows * dim);
+    std::vector<uint16_t> lo(rows * dim);
+    std::vector<float> widened(rows * dim);
+    for (size_t i = 0; i < rows; ++i) {
+      SplitRow(data.data() + i * dim, dim, hi.data() + i * dim,
+               lo.data() + i * dim);
+    }
+    for (size_t j = 0; j < rows * dim; ++j) {
+      widened[j] = HighHalfToFloat(hi[j]);
+    }
+    auto check = [&](const std::vector<float>& got,
+                     const std::vector<float>& values, bool l2,
+                     const std::string& what) {
+      for (size_t i = 0; i < rows; ++i) {
+        double exact = 0.0;
+        double magnitude = 0.0;
+        for (size_t d = 0; d < dim; ++d) {
+          const double q = query[d];
+          const double x = values[i * dim + d];
+          const double term = l2 ? (q - x) * (q - x) : q * x;
+          exact += term;
+          magnitude += std::fabs(term);
+        }
+        EXPECT_LE(std::fabs(got[i] - exact), gamma * magnitude)
+            << what << " dim " << dim << " row " << i;
+      }
+    };
+    for (const KernelTable* table : CompiledVariants()) {
+      const std::string name = table->name;
+      std::vector<float> out(rows);
+      table->l2sq_batch(query.data(), data.data(), rows, dim, out.data());
+      check(out, data, true, name + " l2sq_batch");
+      table->dot_batch(query.data(), data.data(), rows, dim, out.data());
+      check(out, data, false, name + " dot_batch");
+      table->l2sq_hi_batch(query.data(), hi.data(), rows, dim, out.data());
+      check(out, widened, true, name + " l2sq_hi_batch");
+      table->dot_hi_batch(query.data(), hi.data(), rows, dim, out.data());
+      check(out, widened, false, name + " dot_hi_batch");
+    }
+  }
+}
+
+TEST(SplitPlanes, ScanBitIdenticalToFp32ScanInEveryVariant) {
+  // Shapes: empty-vector-body dims (1, 7), a remainder lane past two
+  // vectors (33), the tier's 64; k of 1, 10, and beyond the row count;
+  // duplicate rows; two lists sharing one TopK.
+  Rng rng(42);
+  const size_t num_rows = 150;
+  for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    for (size_t dim : {size_t{1}, size_t{7}, size_t{33}, size_t{64}}) {
+      std::vector<float> values = RandomBlock(rng, num_rows * dim);
+      for (size_t dup : {size_t{40}, size_t{90}, size_t{141}}) {
+        std::copy_n(values.begin() + 3 * dim, dim,
+                    values.begin() + dup * dim);
+      }
+      const SplitFixture fx(std::move(values), dim, metric);
+      for (int q = 0; q < 6; ++q) {
+        // Queries near a stored row make the top-k tight (most rows
+        // prunable); the last is an unrelated point.
+        std::vector<float> query = RandomBlock(rng, dim);
+        if (q < 5) {
+          const float* near = fx.rows.data() + (q * 29 % num_rows) * dim;
+          for (size_t d = 0; d < dim; ++d) {
+            query[d] = near[d] + 0.05f * query[d];
+          }
+        }
+        for (size_t k : {size_t{1}, size_t{10}, size_t{300}}) {
+          for (const KernelTable* table : CompiledVariants()) {
+            const std::string what = std::string(table->name) + " " +
+                                     MetricName(metric) + " dim " +
+                                     std::to_string(dim) + " k " +
+                                     std::to_string(k);
+            ExpectBitIdentical(
+                ReferenceScan(*table, metric, query.data(), fx, nullptr, k),
+                SplitScan(*table, metric, query.data(), fx, nullptr, k,
+                          {70}),
+                what);
+          }
+          // And literally ScanRowsIntoTopK under the dispatched table.
+          TopK want(k);
+          ScanRowsIntoTopK(metric, query.data(), fx.rows.data(), num_rows,
+                           dim, nullptr, 0, want);
+          ExpectBitIdentical(want.SortedTake(),
+                             SplitScan(Active(), metric, query.data(), fx,
+                                       nullptr, k, {70}),
+                             std::string("active ") + MetricName(metric));
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitPlanes, NearTiesAtTheBoundMarginSurvive) {
+  // Rows built to sit on the threshold: exact duplicates of the k-th
+  // best row placed later with smaller ids (so the id tie-break must
+  // admit them), and copies differing only in a low mantissa bit of one
+  // element (same high plane, distances an ulp apart). The base row is
+  // bf16-exact, so its residual is 0 and the bound is as tight as it
+  // gets: only the fp32 margin keeps the duplicates. Any row the bound
+  // dropped wrongly would change the result.
+  const size_t dim = 33;
+  Rng rng(43);
+  for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    std::vector<float> query = RandomBlock(rng, dim);
+    std::vector<float> values;
+    // Far rows first, so the heap fills before the ties arrive.
+    for (int i = 0; i < 60; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        values.push_back(query[d] * -1.5f +
+                         3.0f * static_cast<float>(rng.NextGaussian()));
+      }
+    }
+    std::vector<float> base(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      const float value =
+          query[d] + 0.01f * static_cast<float>(rng.NextGaussian());
+      base[d] = FromBits(ToBits(value) & 0xFFFF0000u);
+    }
+    for (int i = 0; i < 80; ++i) {
+      std::vector<float> row = base;
+      if (i % 2 == 1) {
+        const size_t d = static_cast<size_t>(i) % dim;
+        row[d] = FromBits(ToBits(row[d]) ^ (1u + static_cast<uint32_t>(i % 3)));
+      }
+      values.insert(values.end(), row.begin(), row.end());
+    }
+    const SplitFixture fx(std::move(values), dim, metric);
+    // Descending ids: later rows win equal-distance tie-breaks.
+    std::vector<int64_t> ids(fx.num_rows());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<int64_t>(10 * (ids.size() - i));
+    }
+    for (size_t k : {size_t{1}, size_t{4}, size_t{25}}) {
+      for (const KernelTable* table : CompiledVariants()) {
+        ExpectBitIdentical(
+            ReferenceScan(*table, metric, query.data(), fx, ids.data(), k),
+            SplitScan(*table, metric, query.data(), fx, ids.data(), k,
+                      {37, 101}),
+            std::string(table->name) + " " + MetricName(metric) + " k " +
+                std::to_string(k));
+      }
+    }
+  }
+}
+
+TEST(SplitPlanes, NonFiniteAndSubnormalRowsMatchFp32Scan) {
+  const size_t dim = 9;
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {
+      inf,
+      -inf,
+      std::numeric_limits<float>::quiet_NaN(),
+      FromBits(0x7F800001u),  // NaN whose payload is all in the low half.
+      -0.0f,
+      FromBits(0x00000001u),  // Smallest subnormal.
+      FromBits(0x0000FFFFu),  // Subnormal with an all-zero high half.
+      FromBits(0x807FFFFFu),  // Largest negative subnormal.
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max()};
+  Rng rng(44);
+  std::vector<float> values = RandomBlock(rng, 120 * dim);
+  for (size_t i = 0; i < specials.size(); ++i) {
+    // Specials land mid-tile and in the tail, one element per row.
+    values[(7 + 11 * i) * dim + i % dim] = specials[i];
+  }
+  // A row of nothing but subnormals, and one of negative zeros.
+  for (size_t d = 0; d < dim; ++d) {
+    values[50 * dim + d] = FromBits(0x00000100u + static_cast<uint32_t>(d));
+    values[51 * dim + d] = -0.0f;
+  }
+  for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    const SplitFixture fx(values, dim, metric);
+    // A non-finite row's residual bound is +inf: it always survives.
+    EXPECT_EQ(fx.residuals[7], inf);
+    EXPECT_EQ(fx.residuals[7 + 11 * 2], inf);
+    EXPECT_TRUE(std::isfinite(fx.residuals[50]));
+    std::vector<std::vector<float>> queries;
+    queries.push_back(RandomBlock(rng, dim));
+    queries.push_back(std::vector<float>(fx.rows.begin() + 50 * dim,
+                                         fx.rows.begin() + 51 * dim));
+    queries.push_back(RandomBlock(rng, dim));
+    queries.back()[2] = inf;
+    queries.push_back(RandomBlock(rng, dim));
+    queries.back()[4] = std::numeric_limits<float>::quiet_NaN();
+    for (const std::vector<float>& query : queries) {
+      for (size_t k : {size_t{3}, size_t{20}}) {
+        for (const KernelTable* table : CompiledVariants()) {
+          ExpectBitIdentical(
+              ReferenceScan(*table, metric, query.data(), fx, nullptr, k),
+              SplitScan(*table, metric, query.data(), fx, nullptr, k, {64}),
+              std::string(table->name) + " " + MetricName(metric));
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitPlanes, BoundPrunesMostRowsOfClusteredData) {
+  // The margin must stay tight enough to matter: on clustered rows and
+  // near-duplicate queries most rows are decided by the high plane.
+  const rago::testing::AnnTestBed bed =
+      rago::testing::MakeAnnTestBed(4000, 16, 16);
+  std::vector<float> values(bed.data.data(),
+                            bed.data.data() + bed.data.rows() * 16);
+  for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    const SplitFixture fx(values, 16, metric);
+    size_t verified = 0;
+    for (size_t q = 0; q < bed.queries.rows(); ++q) {
+      size_t count = 0;
+      SplitScan(Active(), metric, bed.queries.Row(q), fx, nullptr, 10,
+                {1000, 2000, 3000}, &count);
+      verified += count;
+    }
+    const double frac = static_cast<double>(verified) /
+                        static_cast<double>(4000 * bed.queries.rows());
+    EXPECT_LT(frac, 0.25) << MetricName(metric);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -326,6 +327,39 @@ TEST(ShardedIndex, StatsCoverShardsAndMerge) {
                    1000.0 * 8 * sizeof(float) * 8 /*queries*/);
   EXPECT_GT(stats.BytesPerQueryPerShard(), 0.0);
   EXPECT_GE(stats.MaxShardSeconds(), 0.0);
+}
+
+TEST(ShardedIndex, IvfChargesTheBytesItsSplitScanReads) {
+  // IVF shards charge what the split-plane scan read: every probed
+  // row's high plane and residual bound, the low plane of the rows
+  // scored in fp32, and the centroid scan. One shard probing all of
+  // its lists reads every row once per query. The charge is integer
+  // row counts, so it is thread-count invariant.
+  const AnnTestBed bed = MakeAnnTestBed(1200, 16, 24);
+  ShardedIndexOptions options;
+  options.num_shards = 1;
+  options.backend = ShardBackend::kIvf;
+  options.ivf.nlist = 8;
+  options.nprobe = 8;
+  options.query_block = 8;
+  const ShardedIndex index(CopyMatrix(bed.data), options);
+  ShardSearchStats serial;
+  index.SearchBatch(bed.queries, 10, nullptr, &serial);
+  const double queries = 24.0;
+  const double plane_row = 16.0 * sizeof(uint16_t);
+  const double probed_and_centroids =
+      queries * (1200.0 * (plane_row + sizeof(float)) +
+                 8.0 * 16.0 * sizeof(float));
+  const double low_planes = serial.TotalScanBytes() - probed_and_centroids;
+  // At least the k kept rows of every query were verified; never all.
+  EXPECT_GE(low_planes, queries * 10.0 * plane_row);
+  EXPECT_LT(low_planes, queries * 1200.0 * plane_row);
+  EXPECT_EQ(std::fmod(low_planes, plane_row), 0.0);
+
+  ThreadPool pool(4);
+  ShardSearchStats threaded;
+  index.SearchBatch(bed.queries, 10, &pool, &threaded);
+  EXPECT_EQ(threaded.TotalScanBytes(), serial.TotalScanBytes());
 }
 
 TEST(ShardedIndex, UnderProvisionedShardCountFailsLoudly) {

@@ -118,10 +118,11 @@ int main(int argc, char** argv) {
         dim * 4.0 +
         static_cast<double>(index.GraphBytes()) / static_cast<double>(n);
     for (int ef : {16, 64, 128}) {
-      const auto results = index.SearchBatch(queries, 10, ef);
+      int64_t distance_evals = 0;
+      const auto results = index.SearchBatch(queries, 10, ef, &distance_evals);
       const double recall = MeanRecallAtK(results, truth, 10);
       const double evals_per_query =
-          static_cast<double>(index.last_distance_evals()) /
+          static_cast<double>(distance_evals) /
           static_cast<double>(queries.rows());
       table.AddRow({"HNSW", "ef=" + std::to_string(ef),
                     kernel_variant, TextTable::Num(recall, 3),

@@ -2,11 +2,9 @@
  * @file bench_distance_kernels.cc
  * Distance-kernel micro-benchmark: GB/s and distance evals/s per
  * compiled kernel variant (scalar / avx2 / avx512) for the batched
- * L2 / inner-product, multi-query micro-tile, and PQ ADC kernels in
- * both the strided and packed (fast-scan) layouts, plus the headline
- * speedups the acceptance bands track: batched-AVX2 vs
- * scalar-single-row, and packed ADC vs the scalar strided scan. The
- * working set is sized to stay cache-resident so the numbers reflect
+ * L2 / inner-product, multi-query micro-tile, and packed (fast-scan)
+ * PQ ADC kernels, plus the headline speedup the acceptance band
+ * tracks: batched-AVX2 vs scalar-single-row. The working set is sized to stay cache-resident so the numbers reflect
  * kernel arithmetic, not DRAM. The high-plane slots (l2sq_hi_batch,
  * dot_hi_batch) are charged 2 * dim bytes per row, the half-words
  * they read.
@@ -339,17 +337,8 @@ int main(int argc, char** argv) {
   }
 
   double avx2_batch_evals_per_sec = 0.0;
-  double scalar_adc_strided_evals_per_sec = 0.0;
-  struct AdcSpeedups {
-    std::string variant;
-    double strided_evals_per_sec = 0.0;
-    double packed_evals_per_sec = 0.0;
-  };
-  std::vector<AdcSpeedups> adc;
   for (const Variant& variant : variants) {
     const kernels::KernelTable& table = *variant.table;
-    AdcSpeedups adc_row;
-    adc_row.variant = variant.name;
     {
       const Measurement m = MeasureFor([&] {
         table.l2sq_batch(queries.data(), data.data(), rows, dim, out.data());
@@ -388,27 +377,11 @@ int main(int argc, char** argv) {
     }
     {
       const Measurement m = MeasureFor([&] {
-        table.adc_batch(adc_table.data(), codes.data(), rows, pq_m,
-                        out.data());
-        g_sink += out[rows / 2];
-      });
-      const double per_sec = static_cast<double>(m.reps) / m.seconds;
-      adc_row.strided_evals_per_sec = per_sec * static_cast<double>(rows);
-      if (std::string(variant.name) == "scalar") {
-        scalar_adc_strided_evals_per_sec = adc_row.strided_evals_per_sec;
-      }
-      results.push_back({"adc_batch_m16", variant.name,
-                         per_sec * code_bytes / 1e9,
-                         per_sec * static_cast<double>(rows)});
-    }
-    {
-      const Measurement m = MeasureFor([&] {
         table.adc_packed(adc_table.data(), packed.data(), rows, pq_m,
                          out.data());
         g_sink += out[rows / 2];
       });
       const double per_sec = static_cast<double>(m.reps) / m.seconds;
-      adc_row.packed_evals_per_sec = per_sec * static_cast<double>(rows);
       results.push_back({"adc_packed_m16", variant.name,
                          per_sec * code_bytes / 1e9,
                          per_sec * static_cast<double>(rows)});
@@ -435,7 +408,6 @@ int main(int argc, char** argv) {
                          per_sec * hi_bytes / 1e9,
                          per_sec * static_cast<double>(rows)});
     }
-    adc.push_back(adc_row);
   }
 
   TextTable table_out;
@@ -461,28 +433,6 @@ int main(int argc, char** argv) {
         "\nAVX2 kernels unavailable on this host; scalar-only report "
         "(speedup band deferred to AVX2 CI runners)\n");
   }
-  double best_packed_vs_scalar_strided = 0.0;
-  for (const AdcSpeedups& row : adc) {
-    const double vs_strided =
-        row.strided_evals_per_sec > 0.0
-            ? row.packed_evals_per_sec / row.strided_evals_per_sec
-            : 0.0;
-    const double vs_scalar =
-        scalar_adc_strided_evals_per_sec > 0.0
-            ? row.packed_evals_per_sec / scalar_adc_strided_evals_per_sec
-            : 0.0;
-    if (row.variant != "scalar") {
-      best_packed_vs_scalar_strided =
-          std::max(best_packed_vs_scalar_strided, vs_scalar);
-    }
-    std::printf(
-        "ADC %s: packed vs strided %.2fx, packed vs scalar strided %.2fx\n",
-        row.variant.c_str(), vs_strided, vs_scalar);
-  }
-  std::printf(
-      "Packed-ADC band (info-only until CI runners stabilize): best SIMD "
-      "packed vs scalar strided >= 2.5x on AVX2 hosts; measured %.2fx\n",
-      best_packed_vs_scalar_strided);
 
   Banner("Exact IVF list scans: split planes vs fp32 rows (65536 x 64-d, "
          "16 MB, 336 k-means lists, 2 nearest probed, top-10)");
@@ -527,33 +477,6 @@ int main(int argc, char** argv) {
   json.Key("avx512_compiled").Bool(kernels::Avx512KernelsCompiled());
   json.Key("avx512_supported").Bool(kernels::CpuSupportsAvx512());
   json.Key("avx2_batch_vs_scalar_single_speedup").Number(speedup);
-  // Per-variant ADC layout comparison (the tentpole's acceptance
-  // number is adc_packed_best_vs_scalar_strided_speedup).
-  json.Key("adc_speedups").BeginArray();
-  for (const AdcSpeedups& row : adc) {
-    json.BeginObject();
-    json.Key("variant").String(row.variant);
-    json.Key("strided_evals_per_sec").Number(row.strided_evals_per_sec);
-    json.Key("packed_evals_per_sec").Number(row.packed_evals_per_sec);
-    json.Key("packed_vs_strided_speedup")
-        .Number(row.strided_evals_per_sec > 0.0
-                    ? row.packed_evals_per_sec / row.strided_evals_per_sec
-                    : 0.0);
-    json.Key("packed_vs_scalar_strided_speedup")
-        .Number(scalar_adc_strided_evals_per_sec > 0.0
-                    ? row.packed_evals_per_sec /
-                          scalar_adc_strided_evals_per_sec
-                    : 0.0);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("adc_packed_best_vs_scalar_strided_speedup")
-      .Number(best_packed_vs_scalar_strided);
-  // Info-only until CI runners stabilize, like the roofline bands.
-  json.Key("adc_packed_band").BeginObject();
-  json.Key("min_speedup_vs_scalar_strided").Number(2.5);
-  json.Key("enforced").Bool(false);
-  json.EndObject();
   json.Key("split_scans").BeginArray();
   for (const SplitScanResult& r : split_scans) {
     json.BeginObject();

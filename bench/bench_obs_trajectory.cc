@@ -1,13 +1,14 @@
 /**
  * @file bench_obs_trajectory.cc
- * Perf-trajectory harness: one end-to-end observed serving run plus a
- * kernel roofline profile, written as BENCH_runtime.json and compared
- * run-over-run against a committed baseline.
+ * Behaviour pin of the observed serving stack: one end-to-end,
+ * fully instrumented serving run, written as BENCH_runtime.json and
+ * compared run-over-run against a committed baseline.
  *
- * This is the perf counterpart of test_fig15_regression: where that
+ * This is the serving counterpart of test_fig15_regression: where that
  * test freezes *accuracy* (speedup bands over the cost model), this
- * bench freezes the serving stack's *behavior and performance
- * envelope*. One document, three comparison classes:
+ * bench freezes the serving stack's *behavior*. It measures no wall
+ * clock; perfbench/run.py owns measurement, with its run-to-run spread
+ * and per-layer ledger. One document, three sections:
  *
  *  - `pinned` — exact-match fields (outcome digest, request counts,
  *    engine health counters, trace span counts, metric counters,
@@ -15,16 +16,12 @@
  *    forces scalar kernels so these are machine-invariant; any drift
  *    is a real behavior change.
  *  - `virtual` — virtual-clock doubles (throughput, percentiles,
- *    roofline accounting). Deterministic given the build; compared at
- *    rel 1e-6 (above the %.9g emission precision, below any real
+ *    attainment, utilization). Deterministic given the build; compared
+ *    at rel 1e-6 (above the %.9g emission precision, below any real
  *    change).
- *  - `measured` — wall-clock numbers (machine peaks, achieved GB/s,
- *    scheduler overhead req/s). Compared as positive and within a
- *    x16 band: wide enough for CI jitter and machine-class spread,
- *    tight enough to catch order-of-magnitude regressions.
- *  - `info` — machine-dependent classification (memory- vs
- *    compute-bound, ridge intensity, measured-provider schedule
- *    choice); reported, never compared.
+ *  - `info` — the analytic and measured-cost schedule choices (the
+ *    measured-cost model is calibrated on wall-clock scans, so it is
+ *    machine-dependent); reported, never compared.
  *
  * Usage:
  *   bench_obs_trajectory [--quick] [--json BENCH_runtime.json]
@@ -33,10 +30,9 @@
  * With `--json`, also writes `<path>.trace.json` — the Chrome
  * trace-event export of the observed run (chrome://tracing-loadable),
  * uploaded as a CI artifact next to the metrics document. With
- * `--baseline`, exits non-zero listing every band violation.
+ * `--baseline`, exits non-zero listing every mismatch.
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cmath>
 #include <string>
@@ -53,7 +49,6 @@
 #include "retrieval/ann/dataset.h"
 #include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/perf/measured_model.h"
-#include "retrieval/perf/roofline.h"
 #include "retrieval/serving/calibration.h"
 #include "retrieval/serving/sharded_index.h"
 #include "serving/obs/flight_recorder.h"
@@ -95,25 +90,6 @@ std::string DigestHex(uint64_t digest) {
   return buf;
 }
 
-void WriteKernelAccounting(JsonWriter& json,
-                           const retrieval::KernelRooflinePoint& point) {
-  json.Key(point.kernel).BeginObject();
-  json.Key("bytes").Number(point.work.bytes);
-  json.Key("flops").Number(point.work.flops);
-  json.Key("intensity").Number(point.intensity);
-  json.EndObject();
-}
-
-void WriteKernelMeasurement(JsonWriter& json,
-                            const retrieval::KernelRooflinePoint& point) {
-  json.Key(point.kernel).BeginObject();
-  json.Key("achieved_gbps").Number(point.achieved_bytes_per_sec / 1e9);
-  json.Key("achieved_gflops").Number(point.achieved_flops_per_sec / 1e9);
-  json.Key("seconds").Number(point.seconds);
-  json.Key("roofline_efficiency").Number(point.roofline_efficiency);
-  json.EndObject();
-}
-
 /// One comparator finding, e.g. "pinned.digest: 'a' != 'b'".
 using Failures = std::vector<std::string>;
 
@@ -133,7 +109,6 @@ std::string TypeName(JsonValue::Type type) {
 enum class NumberPolicy {
   kExact,      ///< Bit-for-bit after %.9g emission ("pinned").
   kRelative,   ///< Rel 1e-6 ("virtual": deterministic doubles).
-  kBand,       ///< Positive and within x16 either way ("measured").
 };
 
 bool NumbersMatch(double fresh, double baseline, NumberPolicy policy) {
@@ -144,16 +119,13 @@ bool NumbersMatch(double fresh, double baseline, NumberPolicy policy) {
       const double scale = std::max(std::fabs(fresh), std::fabs(baseline));
       return std::fabs(fresh - baseline) <= 1e-6 * scale + 1e-12;
     }
-    case NumberPolicy::kBand:
-      return fresh > 0.0 && baseline > 0.0 && fresh <= baseline * 16.0 &&
-             baseline <= fresh * 16.0;
   }
   return false;
 }
 
 /// Recursively compares two nodes under one policy; key sets must
 /// match exactly in every section so silently added or dropped fields
-/// fail loudly instead of escaping the bands.
+/// fail loudly instead of escaping the comparison.
 void CompareNode(const JsonValue& fresh, const JsonValue& baseline,
                  NumberPolicy policy, const std::string& path,
                  Failures& failures) {
@@ -236,8 +208,6 @@ size_t CompareAgainstBaseline(const JsonValue& fresh,
                 NumberPolicy::kExact, "pinned", failures);
     CompareNode(fresh.At("virtual"), baseline.At("virtual"),
                 NumberPolicy::kRelative, "virtual", failures);
-    CompareNode(fresh.At("measured"), baseline.At("measured"),
-                NumberPolicy::kBand, "measured", failures);
     // "info" is machine-dependent by design: never compared.
   }
   for (const std::string& failure : failures) {
@@ -275,8 +245,8 @@ int main(int argc, char** argv) {
   const std::string baseline_path = FlagValue(argc, argv, "--baseline");
 
   // Machine-invariant pinned fields require the scalar kernel table:
-  // forced here (and restored on exit) so the digest and the profiled
-  // variant never depend on the host's SIMD support.
+  // forced here (and restored on exit) so the digest and the pinned
+  // kernel_variant never depend on the host's SIMD support.
   const bool was_forced = ann::kernels::ForceScalarActive();
   ann::kernels::SetForceScalar(true);
 
@@ -343,16 +313,7 @@ int main(int argc, char** argv) {
   const ArrivalTrace arrivals =
       PoissonTrace(requests, chosen.perf.qps * 0.9, 71);
 
-  const auto serve_start = std::chrono::steady_clock::now();
   const RuntimeResult result = server.Serve(arrivals, query_pool);
-  const double serve_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    serve_start)
-          .count();
-  // Requests the scheduler pushed through per host wall second — the
-  // overhead ceiling of the engine itself (ROADMAP direction 5).
-  const double scheduler_overhead_rps =
-      static_cast<double>(result.completed) / serve_wall_seconds;
 
   int64_t trace_spans = 0;
   int64_t trace_instants = 0;
@@ -377,24 +338,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  // --- Roofline: machine peaks + the four scan shapes. ---
-  retrieval::ProbeOptions probe;
-  retrieval::KernelProfileOptions kprof;
-  if (quick) {
-    probe.triad_elements = size_t{1} << 20;
-    probe.flop_iterations = size_t{4} << 20;
-    probe.repetitions = 2;
-    kprof.num_rows = size_t{1} << 14;
-    kprof.repetitions = 2;
-  }
-  const retrieval::MachinePeaks peaks =
-      retrieval::CalibrateMachinePeaks(probe);
-  const retrieval::KernelProfiler profiler(peaks, kprof);
-  const std::vector<retrieval::KernelRooflinePoint> points = {
-      profiler.ProfileL2Batch(), profiler.ProfileIpBatch(),
-      profiler.ProfileL2Tile(), profiler.ProfileAdc(),
-      profiler.ProfileAdcPacked()};
 
   // --- Measured-cost optimizer pass (informational: wall-clock
   // calibration makes the chosen schedule machine-dependent). ---
@@ -428,25 +371,9 @@ int main(int argc, char** argv) {
               alert_engine.transitions().size(), flight.size(),
               static_cast<long long>(flight.appended()));
   std::printf("serving: %.1f QPS virtual, p50/p95 TTFT %.1f/%.1f ms, "
-              "attainment %.3f; scheduler overhead %.0f req/s wall\n",
+              "attainment %.3f\n",
               result.throughput, result.ttft.Percentile(0.5) * 1e3,
-              result.ttft.Percentile(0.95) * 1e3, result.slo_attainment,
-              scheduler_overhead_rps);
-  std::printf("machine: %.2f GB/s triad, %.2f GFLOP/s fma, ridge %.2f "
-              "flops/byte\n",
-              peaks.bandwidth_bytes_per_sec / 1e9, peaks.flops_per_sec / 1e9,
-              peaks.RidgeIntensity());
-  TextTable table("kernel roofline");
-  table.SetHeader({"kernel", "intensity", "GB/s", "GFLOP/s", "bound",
-                   "efficiency"});
-  for (const auto& point : points) {
-    table.AddRow({point.kernel, TextTable::Num(point.intensity, 3),
-                  TextTable::Num(point.achieved_bytes_per_sec / 1e9, 3),
-                  TextTable::Num(point.achieved_flops_per_sec / 1e9, 3),
-                  point.memory_bound ? "memory" : "compute",
-                  TextTable::Num(point.roofline_efficiency, 3)});
-  }
-  table.Print();
+              result.ttft.Percentile(0.95) * 1e3, result.slo_attainment);
   std::printf("optimizer: analytic %s (TTFT %.1f ms) vs measured-cost "
               "%s (TTFT %.1f ms)%s\n",
               ScheduleKeyString(chosen.schedule).c_str(),
@@ -503,33 +430,9 @@ int main(int argc, char** argv) {
   json.Key("slo_attainment").Number(result.slo_attainment);
   json.Key("min_window_attainment").Number(min_window_attainment);
   json.Key("decode_utilization").Number(result.decode_utilization);
-  json.Key("kernels").BeginObject();
-  for (const auto& point : points) {
-    WriteKernelAccounting(json, point);
-  }
-  json.EndObject();
-  json.EndObject();
-
-  json.Key("measured").BeginObject();
-  json.Key("peak_bandwidth_gbps")
-      .Number(peaks.bandwidth_bytes_per_sec / 1e9);
-  json.Key("peak_gflops").Number(peaks.flops_per_sec / 1e9);
-  json.Key("serve_wall_seconds").Number(serve_wall_seconds);
-  json.Key("scheduler_overhead_rps").Number(scheduler_overhead_rps);
-  json.Key("kernels").BeginObject();
-  for (const auto& point : points) {
-    WriteKernelMeasurement(json, point);
-  }
-  json.EndObject();
   json.EndObject();
 
   json.Key("info").BeginObject();
-  json.Key("ridge_intensity").Number(peaks.RidgeIntensity());
-  json.Key("memory_bound").BeginObject();
-  for (const auto& point : points) {
-    json.Key(point.kernel).Bool(point.memory_bound);
-  }
-  json.EndObject();
   json.Key("analytic_schedule").String(ScheduleKeyString(chosen.schedule));
   json.Key("measured_schedule")
       .String(ScheduleKeyString(rechosen.schedule));

@@ -119,8 +119,7 @@ class PipelineModel {
   /**
    * LiveProvider with the retrieval lookup replaced by `model` — e.g.
    * a MeasuredRetrievalModel calibrated from real sharded scans on the
-   * serving index, or costs derived from the roofline profiler
-   * (retrieval/perf/roofline.h). A batch of `request_batch` requests
+   * serving index. A batch of `request_batch` requests
    * issues queries_per_retrieval queries each, matching EvalRetrieval;
    * the server count still gates database-capacity feasibility, but
    * pricing comes entirely from `model` (measured costs describe the

@@ -8,6 +8,20 @@
 
 namespace rago::ann {
 
+std::vector<int32_t>
+RankCentroids(const float* query, const Matrix& centroids, int nprobe) {
+  RAGO_REQUIRE(nprobe > 0, "nprobe must be positive");
+  TopK topk(std::min<size_t>(static_cast<size_t>(nprobe), centroids.rows()));
+  kernels::ScanRowsIntoTopK(Metric::kL2, query, centroids.data(),
+                            centroids.rows(), centroids.dim(),
+                            /*ids=*/nullptr, /*base_id=*/0, topk);
+  std::vector<int32_t> ranked;
+  for (const Neighbor& neighbor : topk.SortedTake()) {
+    ranked.push_back(static_cast<int32_t>(neighbor.id));
+  }
+  return ranked;
+}
+
 std::vector<std::vector<int32_t>>
 RankCentroidsBatch(const Matrix& queries, const Matrix& centroids,
                    int nprobe) {

@@ -232,20 +232,9 @@ HnswIndex::SelectNeighbors(const std::vector<Neighbor>& found, int m) const {
 }
 
 std::vector<Neighbor>
-HnswIndex::Search(const float* query, size_t k, int ef_search) const {
-  int64_t evals = 0;
-  std::vector<Neighbor> found = Search(query, k, ef_search, &evals);
-  last_distance_evals_ = evals;
-  return found;
-}
-
-std::vector<Neighbor>
 HnswIndex::Search(const float* query, size_t k, int ef_search,
                   int64_t* distance_evals) const {
   RAGO_REQUIRE(ef_search >= 1, "ef_search must be positive");
-  RAGO_REQUIRE(distance_evals != nullptr,
-               "counted Search needs an eval slot (use the 3-arg "
-               "overload to skip counting)");
   int64_t evals = 0;
   Scratch scratch;
   int32_t entry = entry_point_;
@@ -258,7 +247,9 @@ HnswIndex::Search(const float* query, size_t k, int ef_search,
   if (found.size() > k) {
     found.resize(k);
   }
-  *distance_evals += evals;
+  if (distance_evals != nullptr) {
+    *distance_evals += evals;
+  }
   return found;
 }
 
@@ -274,22 +265,9 @@ HnswIndex::GraphBytes() const {
 }
 
 std::vector<std::vector<Neighbor>>
-HnswIndex::SearchBatch(const Matrix& queries, size_t k,
-                       int ef_search) const {
-  int64_t evals = 0;
-  std::vector<std::vector<Neighbor>> out =
-      SearchBatch(queries, k, ef_search, &evals);
-  last_distance_evals_ = evals;
-  return out;
-}
-
-std::vector<std::vector<Neighbor>>
 HnswIndex::SearchBatch(const Matrix& queries, size_t k, int ef_search,
                        int64_t* distance_evals) const {
   RAGO_REQUIRE(queries.dim() == data_.dim(), "query dimensionality mismatch");
-  RAGO_REQUIRE(distance_evals != nullptr,
-               "counted SearchBatch needs an eval slot (use the 3-arg "
-               "overload to skip counting)");
   std::vector<std::vector<Neighbor>> out(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
     out[q] = Search(queries.Row(q), k, ef_search, distance_evals);

@@ -45,38 +45,20 @@ class HnswIndex {
 
   /**
    * Approximate top-k with beam width `ef_search` (>= k for sensible
-   * recall). Returns ascending-distance neighbors.
-   */
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               int ef_search) const;
-
-  /**
-   * Search that adds its distance-evaluation count to
-   * `*distance_evals` instead of writing the shared mutable counter —
-   * safe to call concurrently from multiple threads (the sharded tier
-   * runs (shard x query-block) tasks against one index).
+   * recall). Returns ascending-distance neighbors. When
+   * `distance_evals` is non-null, the search's distance-evaluation
+   * count is added to it. The index is never written, so concurrent
+   * searches are safe (the sharded tier runs (shard x query-block)
+   * tasks against one index), each with its own counter.
    */
   std::vector<Neighbor> Search(const float* query, size_t k, int ef_search,
-                               int64_t* distance_evals) const;
+                               int64_t* distance_evals = nullptr) const;
 
-  /**
-   * Batched Search over every row of `queries`. Afterwards
-   * last_distance_evals() reports the total across the whole batch.
-   */
-  std::vector<std::vector<Neighbor>> SearchBatch(const Matrix& queries,
-                                                 size_t k,
-                                                 int ef_search) const;
-
-  /// Concurrency-safe batched search; adds the batch's distance
-  /// evaluations to `*distance_evals` (the shared counter is untouched).
+  /// Search over every row of `queries`; adds the whole batch's
+  /// distance evaluations to `*distance_evals` when non-null.
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, size_t k, int ef_search,
-      int64_t* distance_evals) const;
-
-  /// Distance computations performed by the last counter-less Search /
-  /// SearchBatch call (racy under concurrent searches; prefer the
-  /// `distance_evals` overloads there).
-  int64_t last_distance_evals() const { return last_distance_evals_; }
+      int64_t* distance_evals = nullptr) const;
 
   /// Total link-storage bytes (the graph's memory overhead).
   int64_t GraphBytes() const;
@@ -135,7 +117,6 @@ class HnswIndex {
   std::vector<Node> nodes_;
   int32_t entry_point_ = -1;
   int max_level_ = -1;
-  mutable int64_t last_distance_evals_ = 0;
 };
 
 }  // namespace rago::ann

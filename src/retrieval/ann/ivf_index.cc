@@ -52,20 +52,6 @@ IvfIndex::IvfIndex(Matrix data, Metric metric, const IvfOptions& options,
   list_offsets_[lists_.size()] = next;
 }
 
-std::vector<int32_t>
-IvfIndex::NearestClusters(const float* query, int nprobe) const {
-  // Rank all centroids by distance and take the closest nprobe.
-  TopK topk(static_cast<size_t>(std::min(nprobe, nlist_)));
-  kernels::ScanRowsIntoTopK(Metric::kL2, query, centroids_.data(),
-                            centroids_.rows(), centroids_.dim(),
-                            /*ids=*/nullptr, /*base_id=*/0, topk);
-  std::vector<int32_t> out;
-  for (const Neighbor& nb : topk.SortedTake()) {
-    out.push_back(static_cast<int32_t>(nb.id));
-  }
-  return out;
-}
-
 std::vector<Neighbor>
 IvfIndex::SearchLists(const float* query, size_t k,
                       const std::vector<int32_t>& clusters,
@@ -95,8 +81,7 @@ IvfIndex::SearchLists(const float* query, size_t k,
 
 std::vector<Neighbor>
 IvfIndex::Search(const float* query, size_t k, int nprobe) const {
-  RAGO_REQUIRE(nprobe > 0, "nprobe must be positive");
-  return SearchLists(query, k, NearestClusters(query, nprobe),
+  return SearchLists(query, k, RankCentroids(query, centroids_, nprobe),
                      /*stats=*/nullptr);
 }
 

@@ -78,8 +78,6 @@ class IvfIndex {
   }
 
  private:
-  std::vector<int32_t> NearestClusters(const float* query, int nprobe) const;
-
   /// Scans the given ranked clusters' lists for one query.
   std::vector<Neighbor> SearchLists(const float* query, size_t k,
                                     const std::vector<int32_t>& clusters,

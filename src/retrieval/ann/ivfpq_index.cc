@@ -100,17 +100,8 @@ IvfPqIndex::SearchLists(const float* query, size_t k, int rerank,
 std::vector<Neighbor>
 IvfPqIndex::Search(const float* query, size_t k, int nprobe,
                    int rerank) const {
-  RAGO_REQUIRE(nprobe > 0, "nprobe must be positive");
-  // Rank coarse clusters.
-  TopK cluster_rank(static_cast<size_t>(std::min(nprobe, nlist_)));
-  kernels::ScanRowsIntoTopK(Metric::kL2, query, centroids_.data(),
-                            centroids_.rows(), centroids_.dim(),
-                            /*ids=*/nullptr, /*base_id=*/0, cluster_rank);
-  std::vector<int32_t> clusters;
-  for (const Neighbor& cluster : cluster_rank.SortedTake()) {
-    clusters.push_back(static_cast<int32_t>(cluster.id));
-  }
-  return SearchLists(query, k, rerank, clusters);
+  return SearchLists(query, k, rerank,
+                     RankCentroids(query, centroids_, nprobe));
 }
 
 std::vector<std::vector<Neighbor>>

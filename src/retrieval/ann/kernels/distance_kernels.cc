@@ -56,25 +56,12 @@ void ScalarDotTile(const float* queries, size_t num_queries,
   }
 }
 
-void ScalarAdcBatch(const float* table, const uint8_t* codes,
-                    size_t num_codes, size_t m, float* out) {
-  // num_codes == 0 writes nothing and m == 0 yields 0.0f per code by
-  // construction — the documented degenerate-shape contract.
-  for (size_t i = 0; i < num_codes; ++i) {
-    const uint8_t* code = codes + i * m;
-    float dist = 0.0f;
-    for (size_t s = 0; s < m; ++s) {
-      dist += table[s * kAdcCentroids + code[s]];
-    }
-    out[i] = dist;
-  }
-}
-
 void ScalarAdcPacked(const float* table, const uint8_t* packed,
                      size_t num_codes, size_t m, float* out) {
   // Per code: walk its lane down the block's subspace-major rows in
-  // s order — the same accumulation sequence as ScalarAdcBatch, so
-  // packed and strided distances are bit-identical.
+  // s order — the accumulation sequence every variant keeps.
+  // num_codes == 0 writes nothing and m == 0 yields 0.0f per code by
+  // construction — the documented degenerate-shape contract.
   for (size_t i = 0; i < num_codes; ++i) {
     const uint8_t* block =
         packed + (i / kPackedBlock) * kPackedBlock * m;
@@ -121,8 +108,8 @@ void ScalarHiBatch(const float* query, const uint16_t* hi, size_t num_rows,
 
 const KernelTable kScalarTable = {
     "scalar",        ScalarL2Batch,        ScalarDotBatch,
-    ScalarL2Tile,    ScalarDotTile,        ScalarAdcBatch,
-    ScalarAdcPacked, ScalarHiBatch<true>,  ScalarHiBatch<false>,
+    ScalarL2Tile,    ScalarDotTile,        ScalarAdcPacked,
+    ScalarHiBatch<true>,  ScalarHiBatch<false>,
 };
 
 // ---------------------------------------------------------------------------
@@ -574,31 +561,6 @@ ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
 }
 
 void
-ScanCodesIntoTopK(const float* table, const uint8_t* codes, size_t num_codes,
-                  size_t m, const int64_t* ids, int64_t base_id, TopK& topk,
-                  std::vector<float>& scratch) {
-  if (num_codes == 0) {
-    return;
-  }
-  const size_t tile = num_codes < kScanTile ? num_codes : kScanTile;
-  if (scratch.size() < tile) {
-    scratch.resize(tile);
-  }
-  const KernelTable& kernels = Active();
-  for (size_t start = 0; start < num_codes; start += tile) {
-    const size_t count =
-        num_codes - start < tile ? num_codes - start : tile;
-    kernels.adc_batch(table, codes + start * m, count, m, scratch.data());
-    for (size_t i = 0; i < count; ++i) {
-      const size_t code = start + i;
-      topk.Push(scratch[i],
-                ids != nullptr ? ids[code]
-                               : base_id + static_cast<int64_t>(code));
-    }
-  }
-}
-
-void
 ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                         size_t num_codes, size_t m, const int64_t* ids,
                         int64_t base_id, TopK& topk,
@@ -829,14 +791,6 @@ ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                  int64_t base_id, TopK& topk) {
   ScanRowsIntoTopK(metric, query, rows, num_rows, dim, ids, base_id, topk,
                    TlsScratch());
-}
-
-void
-ScanCodesIntoTopK(const float* table, const uint8_t* codes, size_t num_codes,
-                  size_t m, const int64_t* ids, int64_t base_id,
-                  TopK& topk) {
-  ScanCodesIntoTopK(table, codes, num_codes, m, ids, base_id, topk,
-                    TlsScratch());
 }
 
 void

@@ -10,12 +10,13 @@
  *  - an ADC pass of N product-quantizer codes against a prebuilt
  *    lookup table.
  *
- * The ADC pass comes in two layouts: the strided (code-major) layout
- * PQ encoders emit naturally, and a blocked subspace-major "packed"
- * layout (FAISS-style transposition) where each block of kPackedBlock
- * codes stores all first-subspace bytes contiguously, then all second-
- * subspace bytes, and so on — turning the SIMD variants' strided
- * per-code byte loads into one contiguous load per subspace.
+ * The ADC pass reads a blocked subspace-major "packed" layout
+ * (FAISS-style transposition): each block of kPackedBlock codes
+ * stores all first-subspace bytes contiguously, then all second-
+ * subspace bytes, and so on, so the SIMD variants load each
+ * subspace's code bytes with one contiguous load instead of strided
+ * per-code byte reads. PQ encoders emit the strided (code-major)
+ * layout; indexes transpose it once at build time.
  *
  * This header exposes those shapes as a function-pointer kernel table
  * with three implementations: a portable scalar reference, an AVX2/FMA
@@ -45,11 +46,12 @@
  *    reproducibility, force the scalar kernels via
  *    SetForceScalar(true) or the RAGO_FORCE_SCALAR_KERNELS=1
  *    environment variable.
- *  - The ulp caveat never applies to ADC: both ADC kernels accumulate
+ *  - The ulp caveat never applies to ADC: the ADC kernel accumulates
  *    table entries in subspace order s = 0..m-1 with lane-independent
- *    adds in every variant and both layouts, so ADC distances are
- *    bit-identical across variants — and across the strided and packed
- *    layouts — given the same table.
+ *    adds in every variant, so ADC distances are bit-identical across
+ *    variants — and to a plain subspace-ordered loop over the strided
+ *    code, such as ProductQuantizer::AdcDistance — given the same
+ *    table.
  *  - Degenerate ADC shapes are well-defined in every variant:
  *    num_codes == 0 writes nothing, m == 0 writes 0.0f per code.
  *
@@ -115,23 +117,14 @@ struct KernelTable {
                    float* out);
 
   /**
-   * ADC scan, strided (code-major) layout: out[i] = sum over s in
-   * [0, m) of table[s * kAdcCentroids + codes[i * m + s]].
-   * num_codes == 0 writes nothing; m == 0 writes 0.0f per code.
-   */
-  void (*adc_batch)(const float* table, const uint8_t* codes,
-                    size_t num_codes, size_t m, float* out);
-
-  /**
    * ADC scan, packed (blocked subspace-major) layout: `packed` holds
    * ceil(num_codes / kPackedBlock) zero-padded blocks of
    * kPackedBlock * m bytes where byte
    * `block * kPackedBlock * m + s * kPackedBlock + j` is subspace `s`
-   * of code `block * kPackedBlock + j`. Distances are bit-identical to
-   * adc_batch over the unpacked codes (same subspace-order, lane-
-   * independent accumulation). Exactly `num_codes` outputs are
-   * written. num_codes == 0 writes nothing; m == 0 writes 0.0f per
-   * code.
+   * of code `block * kPackedBlock + j`, and out[i] = sum over s in
+   * [0, m) of table[s * kAdcCentroids + (subspace s of code i)],
+   * accumulated in s order. Exactly `num_codes` outputs are written.
+   * num_codes == 0 writes nothing; m == 0 writes 0.0f per code.
    */
   void (*adc_packed)(const float* table, const uint8_t* packed,
                      size_t num_codes, size_t m, float* out);
@@ -232,22 +225,11 @@ void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                       std::vector<float>& scratch);
 
 /**
- * ADC-scans `num_codes` m-byte codes against `table` (m x kAdcCentroids,
- * subspace-major) and offers every distance to `topk` in code order.
- * Candidate ids are `ids[i]` when non-null, else `base_id + i`.
- */
-void ScanCodesIntoTopK(const float* table, const uint8_t* codes,
-                       size_t num_codes, size_t m, const int64_t* ids,
-                       int64_t base_id, TopK& topk,
-                       std::vector<float>& scratch);
-
-/**
  * ADC-scans `num_codes` codes stored in the packed (blocked
  * subspace-major) layout — see KernelTable::adc_packed for the exact
- * byte layout — and offers every distance to `topk` in code order.
- * Bit-identical results (distances, ids, tie-breaks) to
- * ScanCodesIntoTopK over the unpacked codes in every variant.
- * Candidate ids are `ids[i]` when non-null, else `base_id + i`.
+ * byte layout — against `table` (m x kAdcCentroids, subspace-major)
+ * and offers every distance to `topk` in code order. Candidate ids are
+ * `ids[i]` when non-null, else `base_id + i`.
  */
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                              size_t num_codes, size_t m, const int64_t* ids,
@@ -345,10 +327,6 @@ size_t ScanSplitRowsIntoTopK(const KernelTable& kernels, Metric metric,
 void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                       size_t num_rows, size_t dim, const int64_t* ids,
                       int64_t base_id, TopK& topk);
-
-void ScanCodesIntoTopK(const float* table, const uint8_t* codes,
-                       size_t num_codes, size_t m, const int64_t* ids,
-                       int64_t base_id, TopK& topk);
 
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                              size_t num_codes, size_t m, const int64_t* ids,

@@ -15,9 +15,8 @@
  *    the scalar kernel, so tiny dims are bit-identical to scalar (the
  *    TU builds with -ffp-contract=off so the compiler cannot fuse
  *    these scalar loops into FMA and break that identity).
- *  - The ADC kernels add table entries in subspace order, matching
- *    scalar summation order bit-for-bit: the strided kernel gathers
- *    per subspace across 8 codes, the packed kernel loads each
+ *  - The packed ADC kernel adds table entries in subspace order,
+ *    matching scalar summation order bit-for-bit: it loads each
  *    subspace's 32 contiguous code bytes (the transposed layout's
  *    whole point) and gathers in four 8-lane groups.
  */
@@ -263,39 +262,10 @@ void Avx2DotTile(const float* queries, size_t num_queries, const float* rows,
   }
 }
 
-void Avx2AdcBatch(const float* table, const uint8_t* codes, size_t num_codes,
-                  size_t m, float* out) {
-  size_t i = 0;
-  // Eight codes per pass: one gather per subspace pulls the table
-  // entry of each code's byte; lane-wise adds preserve scalar
-  // summation order, so results are bit-identical to scalar.
-  for (; i + 8 <= num_codes; i += 8) {
-    const uint8_t* c = codes + i * m;
-    __m256 acc = _mm256_setzero_ps();
-    for (size_t s = 0; s < m; ++s) {
-      const __m256i idx = _mm256_setr_epi32(
-          c[0 * m + s], c[1 * m + s], c[2 * m + s], c[3 * m + s],
-          c[4 * m + s], c[5 * m + s], c[6 * m + s], c[7 * m + s]);
-      acc = _mm256_add_ps(
-          acc, _mm256_i32gather_ps(table + s * kAdcCentroids, idx, 4));
-    }
-    _mm256_storeu_ps(out + i, acc);
-  }
-  for (; i < num_codes; ++i) {
-    const uint8_t* code = codes + i * m;
-    float dist = 0.0f;
-    for (size_t s = 0; s < m; ++s) {
-      dist += table[s * kAdcCentroids + code[s]];
-    }
-    out[i] = dist;
-  }
-}
-
 /// One packed block (32 codes): four 8-lane accumulators. Per
-/// subspace the 32 code bytes are one contiguous 32-byte load instead
-/// of the strided per-code byte reads Avx2AdcBatch pays before each
-/// gather; lane-wise adds in s order keep results bit-identical to
-/// scalar.
+/// subspace the 32 code bytes are one contiguous 32-byte load widened
+/// to gather indices; lane-wise adds in s order keep results
+/// bit-identical to scalar.
 inline void Avx2AdcPackedBlock(const float* table, const uint8_t* block,
                                size_t m, float* out) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -421,9 +391,9 @@ void Avx2HiBatch(const float* query, const uint16_t* hi, size_t num_rows,
 }
 
 const KernelTable kAvx2Table = {
-    "avx2",           Avx2L2Batch,       Avx2DotBatch,
-    Avx2L2Tile,       Avx2DotTile,       Avx2AdcBatch,
-    Avx2AdcPacked,    Avx2HiBatch<true>, Avx2HiBatch<false>,
+    "avx2",        Avx2L2Batch,   Avx2DotBatch,
+    Avx2L2Tile,    Avx2DotTile,   Avx2AdcPacked,
+    Avx2HiBatch<true>, Avx2HiBatch<false>,
 };
 
 }  // namespace

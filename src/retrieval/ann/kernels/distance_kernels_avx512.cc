@@ -15,12 +15,11 @@
  *    the scalar kernel, so tiny dims are bit-identical to scalar (the
  *    TU builds with -ffp-contract=off so the compiler cannot fuse
  *    these scalar loops into FMA and break that identity).
- *  - The ADC kernels add table entries in subspace order with
+ *  - The packed ADC kernel adds table entries in subspace order with
  *    lane-independent adds, matching scalar summation order
- *    bit-for-bit: the strided kernel gathers per subspace across 16
- *    codes, the packed kernel loads each subspace's 32 contiguous code
- *    bytes and gathers in two 16-lane groups, with a masked store for
- *    the final partial block.
+ *    bit-for-bit: it loads each subspace's 32 contiguous code bytes
+ *    and gathers in two 16-lane groups, with a masked store for the
+ *    final partial block.
  */
 #include "retrieval/ann/kernels/avx512_kernels.h"
 
@@ -269,39 +268,6 @@ void Avx512DotTile(const float* queries, size_t num_queries, const float* rows,
   }
 }
 
-void Avx512AdcBatch(const float* table, const uint8_t* codes,
-                    size_t num_codes, size_t m, float* out) {
-  size_t i = 0;
-  // Sixteen codes per pass: one gather per subspace pulls the table
-  // entry of each code's byte. The indices are assembled with scalar
-  // byte reads (the codes are strided by m, so there is no contiguous
-  // vector load to be had — that is exactly what the packed layout
-  // fixes); lane-wise adds preserve scalar summation order, so results
-  // are bit-identical to scalar.
-  for (; i + 16 <= num_codes; i += 16) {
-    const uint8_t* c = codes + i * m;
-    __m512 acc = _mm512_setzero_ps();
-    for (size_t s = 0; s < m; ++s) {
-      const __m512i idx = _mm512_set_epi32(
-          c[15 * m + s], c[14 * m + s], c[13 * m + s], c[12 * m + s],
-          c[11 * m + s], c[10 * m + s], c[9 * m + s], c[8 * m + s],
-          c[7 * m + s], c[6 * m + s], c[5 * m + s], c[4 * m + s],
-          c[3 * m + s], c[2 * m + s], c[1 * m + s], c[0 * m + s]);
-      acc = _mm512_add_ps(
-          acc, _mm512_i32gather_ps(idx, table + s * kAdcCentroids, 4));
-    }
-    _mm512_storeu_ps(out + i, acc);
-  }
-  for (; i < num_codes; ++i) {
-    const uint8_t* code = codes + i * m;
-    float dist = 0.0f;
-    for (size_t s = 0; s < m; ++s) {
-      dist += table[s * kAdcCentroids + code[s]];
-    }
-    out[i] = dist;
-  }
-}
-
 /// One packed block (32 codes): two 16-lane accumulators. Per subspace
 /// the 32 code bytes are two contiguous 16-byte loads widened to
 /// 32-bit gather indices; lane-wise adds in s order keep results
@@ -434,9 +400,9 @@ void Avx512HiBatch(const float* query, const uint16_t* hi, size_t num_rows,
 }
 
 const KernelTable kAvx512Table = {
-    "avx512",          Avx512L2Batch,       Avx512DotBatch,
-    Avx512L2Tile,      Avx512DotTile,       Avx512AdcBatch,
-    Avx512AdcPacked,   Avx512HiBatch<true>, Avx512HiBatch<false>,
+    "avx512",        Avx512L2Batch,   Avx512DotBatch,
+    Avx512L2Tile,    Avx512DotTile,   Avx512AdcPacked,
+    Avx512HiBatch<true>, Avx512HiBatch<false>,
 };
 
 }  // namespace

@@ -93,9 +93,12 @@ ProductQuantizer::AdcDistance(const std::vector<float>& table,
                               const uint8_t* code) const {
   RAGO_CHECK(table.size() == static_cast<size_t>(m_) * kCentroids,
              "ADC table size mismatch");
+  // Subspace order, the accumulation every variant's adc_packed keeps,
+  // so this is bit-identical to a packed scan of the same code.
   float dist = 0.0f;
-  kernels::Active().adc_batch(table.data(), code, /*num_codes=*/1,
-                              static_cast<size_t>(m_), &dist);
+  for (int s = 0; s < m_; ++s) {
+    dist += table[static_cast<size_t>(s) * kCentroids + code[s]];
+  }
   return dist;
 }
 

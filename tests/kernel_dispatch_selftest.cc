@@ -5,8 +5,8 @@
  * Prints the compiled/detected/active kernel variants, then checks the
  * dispatch invariants fast enough for every CI job: scalar/dispatched
  * value agreement across remainder-lane dims, batch-vs-tile
- * bit-identity, ADC bit-identity, the split-plane slots and scan on a
- * partial tail, and the force-scalar override.
+ * bit-identity, ADC bit-identity to the scalar oracle, the split-plane
+ * slots and scan on a partial tail, and the force-scalar override.
  * CTest runs it twice — dispatched, and with RAGO_FORCE_SCALAR_KERNELS
  * set — so the scalar fallback path stays green on non-AVX runners.
  * Exits 0 on success, 1 on the first failed check.
@@ -20,6 +20,7 @@
 #include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/packed_codes.h"
 #include "retrieval/ann/topk.h"
+#include "tests/testing/adc_oracle.h"
 
 namespace {
 
@@ -98,24 +99,17 @@ void CheckAdcAgreement() {
   for (uint8_t& c : code_block) {
     c = static_cast<uint8_t>(rng.NextBounded(kernels::kAdcCentroids));
   }
-  std::vector<float> scalar_out(codes);
-  std::vector<float> active_out(codes);
-  kernels::ScalarKernels().adc_batch(table.data(), code_block.data(), codes,
-                                     m, scalar_out.data());
-  kernels::Active().adc_batch(table.data(), code_block.data(), codes, m,
-                              active_out.data());
-  for (size_t i = 0; i < codes; ++i) {
-    Check(scalar_out[i] == active_out[i],
-          "adc_batch bit-identical across variants");
-  }
-  // Packed layout: same distances, bit-for-bit, in the active variant.
+  // The packed scan must equal the subspace-ordered scalar loop over
+  // the strided codes, bit for bit, in the active variant.
+  const std::vector<float> reference = rago::testing::StridedAdcOracle(
+      table.data(), code_block.data(), codes, m);
   const rago::ann::PackedCodes packed(code_block.data(), codes, m);
   std::vector<float> packed_out(codes);
   kernels::Active().adc_packed(table.data(), packed.data(), codes, m,
                                packed_out.data());
   for (size_t i = 0; i < codes; ++i) {
-    Check(scalar_out[i] == packed_out[i],
-          "adc_packed bit-identical to strided adc_batch");
+    Check(reference[i] == packed_out[i],
+          "adc_packed bit-identical to the scalar ADC oracle");
   }
 }
 

@@ -65,10 +65,11 @@ TEST(Hnsw, DistanceEvalsFarBelowBruteForce) {
   Rng rng(7);
   const HnswIndex index(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, rng);
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
-    index.Search(bed.queries.Row(q), 10, 48);
-    EXPECT_LT(index.last_distance_evals(), 4000 / 2)
+    int64_t distance_evals = 0;
+    index.Search(bed.queries.Row(q), 10, 48, &distance_evals);
+    EXPECT_LT(distance_evals, 4000 / 2)
         << "graph search degenerated to a scan";
-    EXPECT_GT(index.last_distance_evals(), 0);
+    EXPECT_GT(distance_evals, 0);
   }
 }
 

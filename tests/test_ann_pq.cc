@@ -1,7 +1,8 @@
 /**
  * @file test_ann_pq.cc
  * Tests for the product quantizer: code sizes, reconstruction quality,
- * and ADC distance consistency.
+ * and ADC distance consistency (with decoded vectors and with every
+ * kernel variant's packed scan).
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "common/rng.h"
 #include "retrieval/ann/dataset.h"
 #include "retrieval/ann/distance.h"
+#include "retrieval/ann/kernels/distance_kernels.h"
+#include "retrieval/ann/packed_codes.h"
 #include "retrieval/ann/pq.h"
 
 namespace rago::ann {
@@ -100,6 +103,37 @@ TEST(Pq, AdcDistanceEqualsDecodedDistance) {
       const float adc = pq.AdcDistance(table, code.data());
       const float exact = L2Sq(queries.Row(q), decoded.data(), data.dim());
       EXPECT_NEAR(adc, exact, 1e-3f * std::max(1.0f, exact));
+    }
+  }
+}
+
+TEST(Pq, AdcDistanceMatchesPackedScanInEveryVariant) {
+  // AdcDistance's subspace-ordered loop is the accumulation every
+  // kernel variant's packed scan keeps, so the two agree bit for bit,
+  // tail block included.
+  const Matrix data = TrainData();
+  Rng rng(5);
+  const ProductQuantizer pq(data, 8, rng);
+  const size_t codes = 97;  // Three full 32-code blocks plus a tail.
+  const std::vector<uint8_t> strided = pq.EncodeAll(data);
+  const PackedCodes packed(strided.data(), codes, pq.CodeBytes());
+  Rng qrng(10);
+  const Matrix queries = GenQueriesNear(data, 4, 0.2f, qrng);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const std::vector<float> table = pq.BuildAdcTable(queries.Row(q));
+    for (const char* name : {"scalar", "avx2", "avx512"}) {
+      const kernels::KernelTable* variant = kernels::VariantByName(name);
+      if (variant == nullptr) {
+        continue;  // Not compiled in or not supported by this host.
+      }
+      std::vector<float> scanned(codes);
+      variant->adc_packed(table.data(), packed.data(), codes,
+                          pq.CodeBytes(), scanned.data());
+      for (size_t i = 0; i < codes; ++i) {
+        EXPECT_EQ(pq.AdcDistance(table, strided.data() + i * pq.CodeBytes()),
+                  scanned[i])
+            << name << " query " << q << " code " << i;
+      }
     }
   }
 }

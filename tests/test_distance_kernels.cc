@@ -2,8 +2,9 @@
  * @file test_distance_kernels.cc
  * Tests for the batched distance-kernel layer: scalar/dispatched
  * parity across remainder-lane dims and unaligned bases, batch-vs-tile
- * bit-identity, ADC bit-identity, deterministic tie-breaks, split-
- * plane scans bit-identical to fp32 scans in every variant, and
+ * bit-identity, ADC bit-identity to a scalar strided-code oracle,
+ * deterministic tie-breaks, split-plane scans bit-identical to fp32
+ * scans in every variant, and
  * end-to-end id parity (exact paths) / recall parity (approximate
  * paths) between the scalar and dispatched variants.
  */
@@ -26,6 +27,7 @@
 #include "retrieval/ann/packed_codes.h"
 #include "retrieval/ann/recall.h"
 #include "retrieval/ann/scann_tree.h"
+#include "tests/testing/adc_oracle.h"
 #include "tests/testing/test_support.h"
 
 namespace rago::ann::kernels {
@@ -204,31 +206,6 @@ TEST(DistanceKernels, UnalignedRowBasesMatchAligned) {
   }
 }
 
-TEST(DistanceKernels, AdcBitIdenticalAcrossVariants) {
-  Rng rng(15);
-  for (size_t m : {1u, 4u, 8u, 16u}) {
-    const size_t codes = 21;  // 8-code groups + remainder.
-    const std::vector<float> table = RandomBlock(rng, m * kAdcCentroids);
-    std::vector<uint8_t> code_block(codes * m);
-    for (uint8_t& c : code_block) {
-      c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
-    }
-    std::vector<float> scalar_out(codes);
-    std::vector<float> active_out(codes);
-    ScalarKernels().adc_batch(table.data(), code_block.data(), codes, m,
-                              scalar_out.data());
-    {
-      ForceScalarGuard guard(false);
-      Active().adc_batch(table.data(), code_block.data(), codes, m,
-                         active_out.data());
-    }
-    for (size_t i = 0; i < codes; ++i) {
-      // Lane-sequential adds in subspace order: exact across variants.
-      EXPECT_EQ(scalar_out[i], active_out[i]) << "m " << m;
-    }
-  }
-}
-
 TEST(DistanceKernels, PackedCodesRoundTripsAndPadsBlocks) {
   Rng rng(45);
   for (size_t m : {1u, 3u, 8u, 16u}) {
@@ -260,9 +237,9 @@ TEST(DistanceKernels, PackedCodesRoundTripsAndPadsBlocks) {
 }
 
 TEST(DistanceKernels, AdcPackedBitIdenticalToStridedInEveryVariant) {
-  // The tentpole contract: packed and strided ADC agree bit-for-bit in
-  // every compiled variant, including tail blocks (codes % 32 != 0)
-  // and odd subspace counts.
+  // The ADC contract: every compiled variant's packed scan equals the
+  // subspace-ordered scalar loop over the strided codes bit for bit,
+  // including tail blocks (codes % 32 != 0) and odd subspace counts.
   Rng rng(46);
   for (size_t m : {1u, 3u, 8u, 16u}) {
     for (size_t codes : {1u, 31u, 32u, 33u, 64u, 97u}) {
@@ -272,19 +249,13 @@ TEST(DistanceKernels, AdcPackedBitIdenticalToStridedInEveryVariant) {
         c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
       }
       const PackedCodes packed(strided.data(), codes, m);
-      std::vector<float> reference(codes);
-      ScalarKernels().adc_batch(table.data(), strided.data(), codes, m,
-                                reference.data());
+      const std::vector<float> reference = rago::testing::StridedAdcOracle(
+          table.data(), strided.data(), codes, m);
       for (const KernelTable* variant : CompiledVariants()) {
-        std::vector<float> strided_out(codes);
         std::vector<float> packed_out(codes);
-        variant->adc_batch(table.data(), strided.data(), codes, m,
-                           strided_out.data());
         variant->adc_packed(table.data(), packed.data(), codes, m,
                             packed_out.data());
         for (size_t i = 0; i < codes; ++i) {
-          EXPECT_EQ(reference[i], strided_out[i])
-              << variant->name << " m " << m << " codes " << codes;
           EXPECT_EQ(reference[i], packed_out[i])
               << variant->name << " m " << m << " codes " << codes;
         }
@@ -295,22 +266,15 @@ TEST(DistanceKernels, AdcPackedBitIdenticalToStridedInEveryVariant) {
 
 TEST(DistanceKernels, AdcKernelsWellDefinedOnDegenerateShapes) {
   // num_codes == 0 writes nothing; m == 0 writes 0.0f per code — in
-  // every compiled variant, both layouts.
+  // every compiled variant.
   const std::vector<float> table(kAdcCentroids, 1.0f);
   const std::vector<uint8_t> codes(4 * kPackedBlock, 7);
   for (const KernelTable* variant : CompiledVariants()) {
     std::vector<float> out(kPackedBlock + 1, -1.0f);
-    variant->adc_batch(table.data(), codes.data(), 0, 4, out.data());
     variant->adc_packed(table.data(), codes.data(), 0, 4, out.data());
     for (float x : out) {
       EXPECT_EQ(x, -1.0f) << variant->name;  // Untouched.
     }
-    variant->adc_batch(table.data(), codes.data(), out.size(), 0,
-                       out.data());
-    for (float x : out) {
-      EXPECT_EQ(x, 0.0f) << variant->name;
-    }
-    std::fill(out.begin(), out.end(), -1.0f);
     variant->adc_packed(table.data(), codes.data(), out.size(), 0,
                         out.data());
     for (float x : out) {
@@ -321,8 +285,9 @@ TEST(DistanceKernels, AdcKernelsWellDefinedOnDegenerateShapes) {
 
 TEST(DistanceKernels, ScanCodesPackedIntoTopKMatchesStridedScan) {
   // Same distances, same scan order, same tie-breaks: the packed TopK
-  // scan must reproduce the strided scan exactly — ids and distance
-  // bits — under every variant, including multi-tile lists.
+  // scan must reproduce the oracle's distances offered in code order
+  // exactly — ids and distance bits — under every variant, including
+  // multi-tile lists.
   Rng rng(47);
   const size_t m = 8;
   const size_t codes = 1111;  // > 2 scan tiles, partial tail block.
@@ -332,17 +297,20 @@ TEST(DistanceKernels, ScanCodesPackedIntoTopKMatchesStridedScan) {
     c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
   }
   const PackedCodes packed(strided.data(), codes, m);
+  const std::vector<float> reference =
+      rago::testing::StridedAdcOracle(table.data(), strided.data(), codes, m);
+  TopK strided_top(17);
+  for (size_t i = 0; i < codes; ++i) {
+    strided_top.Push(reference[i], 5 + static_cast<int64_t>(i));
+  }
+  const std::vector<Neighbor> a = strided_top.SortedTake();
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
-    TopK strided_top(17);
     TopK packed_top(17);
     std::vector<float> scratch;
-    ScanCodesIntoTopK(table.data(), strided.data(), codes, m,
-                      /*ids=*/nullptr, /*base_id=*/5, strided_top, scratch);
     ScanCodesPackedIntoTopK(table.data(), packed.data(), codes, m,
                             /*ids=*/nullptr, /*base_id=*/5, packed_top,
                             scratch);
-    const std::vector<Neighbor> a = strided_top.SortedTake();
     const std::vector<Neighbor> b = packed_top.SortedTake();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {

@@ -9,10 +9,8 @@
 #include "common/check.h"
 #include "common/units.h"
 #include "hardware/cpu_server.h"
-#include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/perf/bruteforce_model.h"
 #include "retrieval/perf/measured_model.h"
-#include "retrieval/perf/roofline.h"
 #include "retrieval/perf/scann_model.h"
 #include "tests/testing/test_support.h"
 
@@ -263,161 +261,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ScannSweepTest,
     ::testing::Combine(::testing::Values(16, 24, 32),
                        ::testing::Values<int64_t>(1, 8, 96, 512, 4096)));
-
-// --- Roofline profiler (retrieval/perf/roofline.h) -------------------
-
-TEST(Roofline, AccountingClosedFormsMatchHandComputation) {
-  // Batch scan: rows stream once, one float distance written per row.
-  const KernelWork l2 = AccountBatchScan(ann::Metric::kL2, 1000, 64);
-  EXPECT_DOUBLE_EQ(l2.bytes, 1000.0 * 64 * 4 + 1000.0 * 4);
-  EXPECT_DOUBLE_EQ(l2.flops, 1000.0 * 64 * 3);  // sub + FMA per element.
-
-  const KernelWork ip = AccountBatchScan(ann::Metric::kInnerProduct, 1000, 64);
-  EXPECT_DOUBLE_EQ(ip.bytes, l2.bytes);
-  EXPECT_DOUBLE_EQ(ip.flops, 1000.0 * 64 * 2);  // one FMA per element.
-
-  // Micro-tile: row stream shared across queries, full output block.
-  const KernelWork tile = AccountTileScan(ann::Metric::kL2, 8, 1000, 64);
-  EXPECT_DOUBLE_EQ(tile.bytes,
-                   1000.0 * 64 * 4 + 8.0 * 64 * 4 + 8.0 * 1000 * 4);
-  EXPECT_DOUBLE_EQ(tile.flops, 8.0 * 1000 * 64 * 3);
-
-  // ADC: 1 byte per (code, subspace), cache-resident m x 256 table,
-  // one float accumulation and output per code.
-  const KernelWork adc = AccountAdcScan(4096, 16);
-  EXPECT_DOUBLE_EQ(adc.bytes, 4096.0 * 16 + 16.0 * 256 * 4 + 4096.0 * 4);
-  EXPECT_DOUBLE_EQ(adc.flops, 4096.0 * 16);
-
-  // Packed ADC: whole-block multiples of the code stream, same FLOPs.
-  // 4096 is block-aligned, so the streams match the strided scan.
-  const KernelWork packed = AccountAdcPackedScan(4096, 16);
-  EXPECT_DOUBLE_EQ(packed.bytes, adc.bytes);
-  EXPECT_DOUBLE_EQ(packed.flops, adc.flops);
-  // 4097 codes pad to 129 blocks of 32; outputs stay unpadded.
-  const KernelWork padded = AccountAdcPackedScan(4097, 16);
-  EXPECT_DOUBLE_EQ(padded.bytes,
-                   129.0 * 32 * 16 + 16.0 * 256 * 4 + 4097.0 * 4);
-  EXPECT_DOUBLE_EQ(padded.flops, 4097.0 * 16);
-
-  EXPECT_THROW(AccountBatchScan(ann::Metric::kL2, 0, 64), ConfigError);
-  EXPECT_THROW(AccountTileScan(ann::Metric::kL2, 8, 1000, 0), ConfigError);
-  EXPECT_THROW(AccountAdcScan(4096, 0), ConfigError);
-  EXPECT_THROW(AccountAdcPackedScan(0, 16), ConfigError);
-}
-
-TEST(Roofline, TileIntensityGrowsWithTileHeight) {
-  // The micro-tile's reason to exist: amortizing the row stream over
-  // more queries raises arithmetic intensity roughly linearly, which
-  // is what eventually crosses the ridge into compute-bound land.
-  double previous = AccountBatchScan(ann::Metric::kL2, 4096, 64).Intensity();
-  for (size_t queries : {2, 8, 32, 128}) {
-    const double intensity =
-        AccountTileScan(ann::Metric::kL2, queries, 4096, 64).Intensity();
-    EXPECT_GT(intensity, previous);
-    previous = intensity;
-  }
-}
-
-TEST(Roofline, ClassificationFollowsTheRidge) {
-  KernelProfileOptions options;
-  options.num_rows = 1 << 12;
-  options.dim = 16;
-  options.tile_queries = 8;
-  options.pq_m = 8;
-  options.repetitions = 1;
-
-  // Ridge far above any kernel intensity: everything is memory-bound.
-  MachinePeaks bandwidth_starved;
-  bandwidth_starved.bandwidth_bytes_per_sec = 1e9;
-  bandwidth_starved.flops_per_sec = 1e13;
-  EXPECT_DOUBLE_EQ(bandwidth_starved.RidgeIntensity(), 1e4);
-  {
-    const KernelProfiler profiler(bandwidth_starved, options);
-    EXPECT_TRUE(profiler.ProfileL2Batch().memory_bound);
-    EXPECT_TRUE(profiler.ProfileIpBatch().memory_bound);
-    EXPECT_TRUE(profiler.ProfileL2Tile().memory_bound);
-    EXPECT_TRUE(profiler.ProfileAdc().memory_bound);
-    EXPECT_TRUE(profiler.ProfileAdcPacked().memory_bound);
-  }
-
-  // Ridge far below: the compute roof binds everywhere.
-  MachinePeaks compute_starved;
-  compute_starved.bandwidth_bytes_per_sec = 1e12;
-  compute_starved.flops_per_sec = 1e9;
-  {
-    const KernelProfiler profiler(compute_starved, options);
-    EXPECT_FALSE(profiler.ProfileL2Batch().memory_bound);
-    EXPECT_FALSE(profiler.ProfileAdc().memory_bound);
-  }
-}
-
-TEST(Roofline, ProfiledPointsAreInternallyConsistent) {
-  MachinePeaks peaks;
-  peaks.bandwidth_bytes_per_sec = 10.0 * kGiB;
-  peaks.flops_per_sec = 20e9;
-
-  KernelProfileOptions options;
-  options.num_rows = 1 << 12;
-  options.dim = 16;
-  options.tile_queries = 8;
-  options.pq_m = 8;
-  options.repetitions = 1;
-  const KernelProfiler profiler(peaks, options);
-
-  for (const KernelRooflinePoint& point :
-       {profiler.ProfileL2Batch(), profiler.ProfileIpBatch(),
-        profiler.ProfileL2Tile(), profiler.ProfileAdc(),
-        profiler.ProfileAdcPacked()}) {
-    EXPECT_FALSE(point.kernel.empty());
-    EXPECT_EQ(point.variant, ann::kernels::Active().name);
-    EXPECT_GT(point.seconds, 0.0);
-    EXPECT_GT(point.work.bytes, 0.0);
-    EXPECT_GT(point.work.flops, 0.0);
-    EXPECT_DOUBLE_EQ(point.intensity, point.work.Intensity());
-    EXPECT_DOUBLE_EQ(point.achieved_bytes_per_sec,
-                     point.work.bytes / point.seconds);
-    EXPECT_DOUBLE_EQ(point.achieved_flops_per_sec,
-                     point.work.flops / point.seconds);
-    EXPECT_EQ(point.memory_bound,
-              point.intensity < peaks.RidgeIntensity());
-    const double expected_bound =
-        std::max(point.work.bytes / peaks.bandwidth_bytes_per_sec,
-                 point.work.flops / peaks.flops_per_sec);
-    EXPECT_DOUBLE_EQ(point.bound_seconds, expected_bound);
-    EXPECT_GT(point.roofline_efficiency, 0.0);
-    EXPECT_DOUBLE_EQ(point.roofline_efficiency,
-                     point.bound_seconds / point.seconds);
-  }
-}
-
-TEST(Roofline, CalibrationProbesReturnPositivePeaks) {
-  ProbeOptions tiny;
-  tiny.triad_elements = 1 << 14;
-  tiny.flop_iterations = 1 << 16;
-  tiny.repetitions = 1;
-  const MachinePeaks peaks = CalibrateMachinePeaks(tiny);
-  EXPECT_GT(peaks.bandwidth_bytes_per_sec, 0.0);
-  EXPECT_GT(peaks.flops_per_sec, 0.0);
-  EXPECT_GT(peaks.RidgeIntensity(), 0.0);
-}
-
-TEST(Roofline, OptionValidationRejectsDegenerateShapes) {
-  ProbeOptions probe;
-  probe.triad_elements = 0;
-  EXPECT_THROW(CalibrateMachinePeaks(probe), ConfigError);
-  probe = ProbeOptions{};
-  probe.repetitions = 0;
-  EXPECT_THROW(CalibrateMachinePeaks(probe), ConfigError);
-
-  KernelProfileOptions kernels;
-  kernels.tile_queries = 0;
-  MachinePeaks peaks;
-  peaks.bandwidth_bytes_per_sec = 1e9;
-  peaks.flops_per_sec = 1e9;
-  EXPECT_THROW(KernelProfiler(peaks, kernels), ConfigError);
-  EXPECT_THROW(KernelProfiler(MachinePeaks{}, KernelProfileOptions{}),
-               ConfigError);  // Uncalibrated (zero) peaks.
-}
 
 }  // namespace
 }  // namespace rago::retrieval

@@ -10,7 +10,7 @@
  * preserved) and enforces:
  *
  *  - `wallclock`      no `::now()` / C wall-clock reads outside the
- *                     approved perf/bench/roofline measurement files;
+ *                     approved perf/bench measurement files;
  *                     simulation and serving logic must use the
  *                     virtual clock.
  *  - `raw-rng`        no `rand()`, `std::random_device`, or direct

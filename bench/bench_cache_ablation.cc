@@ -10,12 +10,12 @@
  * weight (uniform traffic, zero capacity). `--json out.json` emits
  * machine-readable rows; `--quick` trims the grid for CI smoke runs.
  */
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "core/pipeline_model.h"
 #include "core/schema.h"
@@ -25,31 +25,12 @@
 #include "serving/runtime/runtime.h"
 #include "serving/runtime/workload.h"
 
-namespace {
-
-double PercentileOf(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return -1.0;
-  }
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      p * static_cast<double>(values.size() - 1));
-  return values[rank];
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace rago;
   using namespace rago::bench;
   using namespace rago::runtime;
 
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") {
-      quick = true;
-    }
-  }
+  const bool quick = HasFlag(argc, argv, "--quick");
 
   // Live tier sized so every sweep point stays sub-second; the query
   // pool (256 rows) is the popularity universe the Zipf streams skew.
@@ -120,22 +101,26 @@ int main(int argc, char** argv) {
       const RuntimeResult result =
           server.Serve(trace, query_pool, stream);
 
-      std::vector<double> all_ttft;
-      std::vector<double> hit_ttft;
-      std::vector<double> miss_ttft;
+      Histogram all_ttft;
+      Histogram hit_ttft;
+      Histogram miss_ttft;
       for (const RequestOutcome& outcome : result.requests) {
         if (!outcome.admitted) {
           continue;
         }
-        all_ttft.push_back(outcome.ttft);
+        all_ttft.Add(outcome.ttft);
         (outcome.retrieval_cache_hit ? hit_ttft : miss_ttft)
-            .push_back(outcome.ttft);
+            .Add(outcome.ttft);
       }
-      const double p50 = PercentileOf(all_ttft, 0.5);
+      // -1 marks an empty sample set ("-" in the table).
+      const auto percentile = [](const Histogram& ttft, double p) {
+        return ttft.empty() ? -1.0 : ttft.Percentile(p);
+      };
+      const double p50 = percentile(all_ttft, 0.5);
       if (capacity == 0) {
         baseline_p50 = p50;
       }
-      const double p50_hit = PercentileOf(hit_ttft, 0.5);
+      const double p50_hit = percentile(hit_ttft, 0.5);
 
       table.AddRow(
           {TextTable::Num(skew, 2), std::to_string(capacity),
@@ -143,9 +128,9 @@ int main(int argc, char** argv) {
            TextTable::Num(result.doc_cache.HitRate(), 4),
            TextTable::Num(result.measured_prefix_hit_rate, 4),
            TextTable::Num(p50 * 1e3, 4),
-           TextTable::Num(PercentileOf(all_ttft, 0.95) * 1e3, 4),
+           TextTable::Num(percentile(all_ttft, 0.95) * 1e3, 4),
            p50_hit < 0 ? "-" : TextTable::Num(p50_hit * 1e3, 4),
-           TextTable::Num(PercentileOf(miss_ttft, 0.5) * 1e3, 4),
+           TextTable::Num(percentile(miss_ttft, 0.5) * 1e3, 4),
            TextTable::Num(result.slo_attainment, 4)});
 
       json.BeginObject();
@@ -162,10 +147,10 @@ int main(int argc, char** argv) {
       json.Key("measured_prefix_hit_rate")
           .Number(result.measured_prefix_hit_rate);
       json.Key("p50_ttft").Number(p50);
-      json.Key("p95_ttft").Number(PercentileOf(all_ttft, 0.95));
+      json.Key("p95_ttft").Number(percentile(all_ttft, 0.95));
       json.Key("p50_ttft_cached").Number(p50_hit);
       json.Key("p50_ttft_uncached")
-          .Number(PercentileOf(miss_ttft, 0.5));
+          .Number(percentile(miss_ttft, 0.5));
       json.Key("p50_ttft_cache_off_baseline").Number(baseline_p50);
       json.Key("cached_below_baseline")
           .Bool(p50_hit >= 0 && baseline_p50 >= 0 &&

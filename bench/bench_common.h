@@ -27,19 +27,33 @@ inline void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
+/// True when `flag` (e.g. "--quick") appears among the arguments.
+inline bool HasFlag(int argc, char** argv, const std::string& flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] == flag) return true;
+  }
+  return false;
+}
+
+/// The argument after `flag` (e.g. "--json out.json"); empty when the
+/// flag is absent. A trailing flag with no value throws ConfigError.
+inline std::string FlagValue(int argc, char** argv, const std::string& flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] == flag) {
+      RAGO_REQUIRE(i + 1 < argc, flag + " requires a value");
+      return argv[i + 1];
+    }
+  }
+  return "";
+}
+
 /**
  * Parses the shared `--json <path>` flag (machine-readable output for
  * perf-trajectory tracking, e.g. BENCH_*.json). Returns an empty
  * string when the flag is absent.
  */
 inline std::string JsonOutputPath(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      RAGO_REQUIRE(i + 1 < argc, "--json requires an output path");
-      return argv[i + 1];
-    }
-  }
-  return "";
+  return FlagValue(argc, argv, "--json");
 }
 
 /**

@@ -216,23 +216,6 @@ size_t CompareAgainstBaseline(const JsonValue& fresh,
   return failures.size();
 }
 
-std::string FlagValue(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) {
-      RAGO_REQUIRE(i + 1 < argc, flag + " requires a value");
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
-bool HasFlag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

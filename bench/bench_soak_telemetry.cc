@@ -48,23 +48,6 @@
 
 namespace {
 
-bool HasFlag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-std::string FlagValue(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) {
-      RAGO_REQUIRE(i + 1 < argc, flag + " requires a value");
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
 std::string DigestHex(uint64_t digest) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",

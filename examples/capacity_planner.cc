@@ -3,8 +3,8 @@
  * Scenario: a platform team must quote hardware for a new RAG product
  * with explicit SLOs. Uses the provisioner (the inverse of the RAGO
  * search) to find the fewest XPUs that meet TTFT/QPS targets, and the
- * trace-driven serving simulator to sanity-check the chosen schedule
- * under Poisson load before committing.
+ * trace-driven serving DES (runtime::ServePriced) to sanity-check the
+ * chosen schedule under Poisson load before committing.
  */
 #include <cstdio>
 
@@ -12,7 +12,8 @@
 #include "core/schema.h"
 #include "hardware/cluster.h"
 #include "rago/provisioner.h"
-#include "sim/serving_sim.h"
+#include "serving/runtime/runtime.h"
+#include "serving/runtime/workload.h"
 
 int main() {
   using namespace rago;
@@ -46,18 +47,22 @@ int main() {
               ToMillis(plan.chosen.perf.tpot));
 
   // Validate under a Poisson arrival trace at 90% of the SLO load.
-  const sim::ArrivalTrace trace =
-      sim::PoissonTrace(2000, slo.min_qps * 0.9, /*seed=*/2026);
-  const sim::ServingSimResult observed =
-      sim::SimulateServing(model, plan.chosen.schedule, trace);
+  const runtime::ArrivalTrace trace =
+      runtime::PoissonTrace(2000, slo.min_qps * 0.9, /*seed=*/2026);
+  const runtime::RuntimeResult observed =
+      runtime::ServePriced(model, plan.chosen.schedule, trace, {});
   std::printf("simulated at %.0f QPS offered: throughput %.1f QPS, avg "
               "TTFT %.1f ms, p99 TTFT %.1f ms\n",
               slo.min_qps * 0.9, observed.throughput,
-              ToMillis(observed.avg_ttft), ToMillis(observed.p99_ttft));
+              ToMillis(observed.ttft.Mean()),
+              ToMillis(observed.ttft.Percentile(0.99)));
+  // Busy seconds per server: collocation groups by id, then retrieval.
+  const auto& busy = observed.server_busy_seconds;
+  const auto retrieval = static_cast<size_t>(plan.chosen.schedule.NumGroups());
   std::printf("prefix-group utilization %.0f%%, retrieval %.0f%%, decode "
               "%.0f%%\n",
-              100 * observed.group_utilization[0],
-              100 * observed.retrieval_utilization,
+              100 * (busy[0] / observed.makespan),
+              100 * (busy[retrieval] / observed.makespan),
               100 * observed.decode_utilization);
   std::printf("\nlesson: the frontier answers \"how good can it be\"; the\n"
               "provisioner + simulator answer \"what do we buy and will "

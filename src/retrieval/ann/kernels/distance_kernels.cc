@@ -182,7 +182,8 @@ constexpr size_t kRowTile = 1024;
 /// one high-plane bound pass per tile.
 constexpr size_t kSplitTile = 16;
 
-/// The per-thread buffer behind the scratch-less helper overloads.
+/// The per-thread distance buffer of the scan helpers. They never nest
+/// (none calls another), so one buffer per thread suffices.
 std::vector<float>& TlsScratch() {
   static thread_local std::vector<float> scratch;
   return scratch;
@@ -563,8 +564,7 @@ ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
 void
 ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                         size_t num_codes, size_t m, const int64_t* ids,
-                        int64_t base_id, TopK& topk,
-                        std::vector<float>& scratch) {
+                        int64_t base_id, TopK& topk) {
   if (num_codes == 0) {
     return;
   }
@@ -573,6 +573,7 @@ ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
   static_assert(kScanTile % kPackedBlock == 0,
                 "scan tile must cover whole packed blocks");
   const size_t tile = num_codes < kScanTile ? num_codes : kScanTile;
+  std::vector<float>& scratch = TlsScratch();
   if (scratch.size() < tile) {
     scratch.resize(tile);
   }
@@ -627,9 +628,10 @@ ScanTileIntoTopK(Metric metric, const float* queries, size_t num_queries,
 
 size_t
 ArgMinL2(const float* query, const float* rows, size_t num_rows, size_t dim,
-         std::vector<float>& scratch, float* min_dist) {
+         float* min_dist) {
   RAGO_CHECK(num_rows > 0, "ArgMinL2 requires at least one row");
   const size_t tile = num_rows < kScanTile ? num_rows : kScanTile;
+  std::vector<float>& scratch = TlsScratch();
   if (scratch.size() < tile) {
     scratch.resize(tile);
   }
@@ -791,20 +793,6 @@ ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                  int64_t base_id, TopK& topk) {
   ScanRowsIntoTopK(metric, query, rows, num_rows, dim, ids, base_id, topk,
                    TlsScratch());
-}
-
-void
-ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
-                        size_t num_codes, size_t m, const int64_t* ids,
-                        int64_t base_id, TopK& topk) {
-  ScanCodesPackedIntoTopK(table, packed, num_codes, m, ids, base_id, topk,
-                          TlsScratch());
-}
-
-size_t
-ArgMinL2(const float* query, const float* rows, size_t num_rows, size_t dim,
-         float* min_dist) {
-  return ArgMinL2(query, rows, num_rows, dim, TlsScratch(), min_dist);
 }
 
 }  // namespace rago::ann::kernels

@@ -229,12 +229,12 @@ void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
  * subspace-major) layout — see KernelTable::adc_packed for the exact
  * byte layout — against `table` (m x kAdcCentroids, subspace-major)
  * and offers every distance to `topk` in code order. Candidate ids are
- * `ids[i]` when non-null, else `base_id + i`.
+ * `ids[i]` when non-null, else `base_id + i`. Distances go through a
+ * per-thread scratch buffer.
  */
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                              size_t num_codes, size_t m, const int64_t* ids,
-                             int64_t base_id, TopK& topk,
-                             std::vector<float>& scratch);
+                             int64_t base_id, TopK& topk);
 
 /**
  * Micro-tiled multi-query scan: streams `num_rows` contiguous rows
@@ -254,11 +254,11 @@ void ScanTileIntoTopK(Metric metric, const float* queries,
  * Index of the row nearest to `query` by squared L2 (first index wins
  * ties, matching the sequential `d < best` loops this replaces). When
  * `min_dist` is non-null it receives the winning distance.
- * `num_rows` must be positive.
+ * `num_rows` must be positive. Distances go through a per-thread
+ * scratch buffer.
  */
 size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
-                size_t dim, std::vector<float>& scratch,
-                float* min_dist = nullptr);
+                size_t dim, float* min_dist = nullptr);
 
 // ---------------------------------------------------------------------------
 // Split-plane rows.
@@ -316,24 +316,15 @@ size_t ScanSplitRowsIntoTopK(const KernelTable& kernels, Metric metric,
                              size_t num_rows, size_t dim, const int64_t* ids,
                              int64_t base_id, TopK& topk);
 
-// ---------------------------------------------------------------------------
-// Overloads backed by one per-thread reusable scratch buffer. The scan
-// helpers never nest (none calls another), so a single thread-local
-// buffer suffices and per-query call sites stay allocation-free after
-// a thread's first scan. Prefer the explicit-scratch overloads only
-// when a caller already owns a buffer (e.g. HnswIndex::Scratch).
-// ---------------------------------------------------------------------------
-
+/**
+ * ScanRowsIntoTopK through one per-thread reusable scratch buffer, so
+ * per-query call sites stay allocation-free after a thread's first
+ * scan. The explicit-scratch overload above is for callers that
+ * already own a buffer.
+ */
 void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                       size_t num_rows, size_t dim, const int64_t* ids,
                       int64_t base_id, TopK& topk);
-
-void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
-                             size_t num_codes, size_t m, const int64_t* ids,
-                             int64_t base_id, TopK& topk);
-
-size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
-                size_t dim, float* min_dist = nullptr);
 
 }  // namespace rago::ann::kernels
 

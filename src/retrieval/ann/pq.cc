@@ -74,9 +74,10 @@ ProductQuantizer::Decode(const uint8_t* code, float* out) const {
   }
 }
 
-std::vector<float>
-ProductQuantizer::BuildAdcTable(const float* query) const {
-  std::vector<float> table(static_cast<size_t>(m_) * kCentroids);
+void
+ProductQuantizer::BuildAdcTable(const float* query,
+                                std::vector<float>& table) const {
+  table.resize(static_cast<size_t>(m_) * kCentroids);
   for (int s = 0; s < m_; ++s) {
     const float* sub_query = query + static_cast<size_t>(s) * sub_dim_;
     // One batched scan fills the subspace's 256 table entries.
@@ -85,7 +86,6 @@ ProductQuantizer::BuildAdcTable(const float* query) const {
                                  table.data() +
                                      static_cast<size_t>(s) * kCentroids);
   }
-  return table;
 }
 
 float

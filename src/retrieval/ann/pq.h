@@ -46,10 +46,11 @@ class ProductQuantizer {
   void Decode(const uint8_t* code, float* out) const;
 
   /**
-   * Builds the ADC lookup table for `query`: m*256 partial squared
-   * distances, laid out subspace-major.
+   * Fills `table` with the ADC lookup table for `query`: m*256 partial
+   * squared distances, laid out subspace-major. `table` is resized to
+   * fit, so a caller scoring many lists can reuse one buffer.
    */
-  std::vector<float> BuildAdcTable(const float* query) const;
+  void BuildAdcTable(const float* query, std::vector<float>& table) const;
 
   /// ADC distance of one code against a prebuilt table.
   float AdcDistance(const std::vector<float>& table,

@@ -6,7 +6,7 @@
  * serving stack: a calibration run over a ShardedIndex yields per-shard
  * scan bytes and wall times; those distill into a MeasuredScanProfile,
  * and the resulting MeasuredRetrievalModel plugs into the serving DES
- * (sim::ServingSimOptions::retrieval_model) wherever the analytical
+ * (runtime::RuntimeOptions::retrieval_model) wherever the analytical
  * ScannModel would be used — so replayed multi-server scans and the
  * published cost model can be cross-checked against each other.
  */

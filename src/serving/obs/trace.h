@@ -2,7 +2,7 @@
  * @file trace.h
  * Span-based per-request trace recorder for the serving engines.
  *
- * Aggregate telemetry (RuntimeResult / ServingSimResult) answers "what
+ * Aggregate telemetry (runtime::RuntimeResult) answers "what
  * were the percentiles"; it cannot answer "why was request 411 slow".
  * This recorder captures the causal structure of one serving run as
  * spans on the virtual clock — admission, queue waits, batch

@@ -377,32 +377,24 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
     drain_telemetry_windows();
   };
 
-  // Each stored timeline point also becomes a pair of Chrome counter
-  // samples, so viewers graph queue depth and utilization next to the
-  // spans; the timeline cap bounds both.
+  // While tracing, each queue-depth sample of a stage is also a pair of
+  // Chrome counter events (depth, utilization so far), so viewers graph
+  // both next to the spans; timeline_limit caps the pairs per stage.
+  std::vector<int> counter_samples(stages.size(), 0);
   auto record_timeline = [&](size_t s) {
+    const auto depth = static_cast<int64_t>(stages[s].queue.size());
     if (series != nullptr) {
-      series->RecordQueueDepth(now, static_cast<int>(s),
-                               static_cast<int64_t>(stages[s].queue.size()));
+      series->RecordQueueDepth(now, static_cast<int>(s), depth);
     }
-    StageTelemetry& telemetry = result.stages[s];
-    if (static_cast<int>(telemetry.timeline.size()) >=
-        options.timeline_limit) {
+    if (trace == nullptr || counter_samples[s] >= options.timeline_limit) {
       return;
     }
-    StageTimelinePoint point;
-    point.time = now;
-    point.queue_depth = static_cast<int>(stages[s].queue.size());
-    point.utilization =
-        now > 0.0 ? telemetry.busy_seconds / now : 0.0;
-    telemetry.timeline.push_back(point);
-    if (trace != nullptr) {
-      trace->AddCounter(names.depth_of[s], names.telemetry, 0,
-                        static_cast<int>(s), now,
-                        static_cast<double>(point.queue_depth));
-      trace->AddCounter(names.util_of[s], names.telemetry, 0,
-                        static_cast<int>(s), now, point.utilization);
-    }
+    ++counter_samples[s];
+    trace->AddCounter(names.depth_of[s], names.telemetry, 0,
+                      static_cast<int>(s), now, static_cast<double>(depth));
+    trace->AddCounter(names.util_of[s], names.telemetry, 0,
+                      static_cast<int>(s), now,
+                      now > 0.0 ? result.stages[s].busy_seconds / now : 0.0);
   };
 
   // Folds one request's retrieved neighbor lists into the digest and

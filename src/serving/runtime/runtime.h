@@ -2,8 +2,8 @@
  * @file runtime.h
  * Online RAG serving runtime: a request-level scheduler that executes
  * a RAGO schedule against live traffic. Its event loop is the one
- * serving engine in the tree; the serving DES (sim/serving_sim.h) is
- * the same loop run priced-only (ServePriced).
+ * serving engine in the tree; the serving DES is the same loop run
+ * priced-only (ServePriced below).
  *
  * The analytical model (core/pipeline_model.h) predicts a schedule's
  * steady state in closed form. This runtime serves it: requests from a
@@ -89,9 +89,10 @@ struct RuntimeOptions {
    * identical to the DES's treatment. Not owned; must outlive Serve.
    */
   const retrieval::RetrievalModel* retrieval_model = nullptr;
-  /// Per-stage queue-depth timeline samples kept (0 disables). While
-  /// tracing, each kept sample is also a depth and a utilization
-  /// counter event, so this caps the trace's counter tracks too.
+  /// Per-stage cap on the queue-depth samples a trace records: each is
+  /// a pair of Chrome counter events (queue depth and utilization so
+  /// far). 0 records no counter tracks; without `trace` it has no
+  /// effect.
   int timeline_limit = 4096;
   /**
    * Multi-level cache tier (serving/cache/rago_cache.h). With
@@ -167,13 +168,6 @@ struct RuntimeOptions {
   void Validate() const;
 };
 
-/// One (virtual time, state) sample of a stage's telemetry timeline.
-struct StageTimelinePoint {
-  double time = 0.0;        ///< Virtual seconds.
-  int queue_depth = 0;      ///< Waiting requests after the event.
-  double utilization = 0.0; ///< Busy fraction of the stage so far.
-};
-
 /// Per-stage telemetry of one Serve call.
 struct StageTelemetry {
   core::StageType type = core::StageType::kPrefix;
@@ -186,7 +180,6 @@ struct StageTelemetry {
   double utilization = 0.0;   ///< busy_seconds / makespan.
   int max_queue_depth = 0;
   Histogram queue_wait;       ///< Virtual wait from enqueue to flush.
-  std::vector<StageTimelinePoint> timeline;
 };
 
 /// Outcome of one request (virtual seconds unless noted).
@@ -344,7 +337,9 @@ class ServingRuntime {
  * no neighbors are recorded (first_neighbor stays -1). Nonzero cache
  * capacities throw ConfigError (the cache tier needs real results);
  * num_threads, top_k and seed have no effect. Schemas without a
- * retrieval stage are accepted. This is the serving DES.
+ * retrieval stage are accepted. This is the serving DES: every
+ * virtual-clock output equals a live Serve's under the same options,
+ * and server g's utilization is server_busy_seconds[g] / makespan.
  */
 RuntimeResult ServePriced(const core::PipelineModel& model,
                           const core::Schedule& schedule,

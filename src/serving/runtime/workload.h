@@ -3,13 +3,10 @@
  * Arrival-trace scenario library for the serving stack.
  *
  * One place for every way this repo generates request traffic. The
- * trace-driven DES (sim/serving_sim.h) and the online serving runtime
- * (serving/runtime/runtime.h) both consume the same ArrivalTrace, so
+ * online serving runtime and its priced-only run, the trace-driven DES
+ * (both serving/runtime/runtime.h), consume the same ArrivalTrace, so
  * a scenario defined here — open-loop Poisson, bursty MMPP, diurnal
- * tides, or a replayed trace file — drives either engine unchanged.
- * This library absorbs the generators that previously lived inside
- * sim/serving_sim.{h,cc}; the sim namespace re-exports them for
- * existing call sites.
+ * tides, or a replayed trace file — drives either unchanged.
  *
  * All generators are seeded and deterministic (common/rng.h): the same
  * (options, seed) produce bit-identical traces on every platform, and

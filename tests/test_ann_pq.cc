@@ -95,8 +95,9 @@ TEST(Pq, AdcDistanceEqualsDecodedDistance) {
   const Matrix queries = GenQueriesNear(data, 8, 0.2f, qrng);
   std::vector<uint8_t> code(pq.CodeBytes());
   std::vector<float> decoded(data.dim());
+  std::vector<float> table;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto table = pq.BuildAdcTable(queries.Row(q));
+    pq.BuildAdcTable(queries.Row(q), table);
     for (size_t i = 0; i < 16; ++i) {
       pq.Encode(data.Row(i), code.data());
       pq.Decode(code.data(), decoded.data());
@@ -119,8 +120,9 @@ TEST(Pq, AdcDistanceMatchesPackedScanInEveryVariant) {
   const PackedCodes packed(strided.data(), codes, pq.CodeBytes());
   Rng qrng(10);
   const Matrix queries = GenQueriesNear(data, 4, 0.2f, qrng);
+  std::vector<float> table;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const std::vector<float> table = pq.BuildAdcTable(queries.Row(q));
+    pq.BuildAdcTable(queries.Row(q), table);
     for (const char* name : {"scalar", "avx2", "avx512"}) {
       const kernels::KernelTable* variant = kernels::VariantByName(name);
       if (variant == nullptr) {

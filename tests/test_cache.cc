@@ -10,10 +10,10 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "core/pipeline_model.h"
 #include "retrieval/ann/dataset.h"
@@ -232,14 +232,6 @@ LiveTier MakeLiveTier(size_t pool_rows = 256) {
                   std::move(queries)};
 }
 
-double PercentileOf(std::vector<double> values, double p) {
-  RAGO_CHECK(!values.empty(), "percentile of empty sample");
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      p * static_cast<double>(values.size() - 1));
-  return values[rank];
-}
-
 TEST(CacheRuntimeTest, ZeroCapacityCacheServesBitIdenticallyToDefault) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
@@ -433,18 +425,18 @@ TEST(CacheRuntimeTest, CachedRequestsCollapseTtftBelowCachelessBaseline) {
   const RuntimeResult off_result = off.Serve(trace, tier.queries, stream);
   const RuntimeResult on_result = on.Serve(trace, tier.queries, stream);
 
-  std::vector<double> baseline;
-  std::vector<double> cached;
+  Histogram baseline;
+  Histogram cached;
   for (size_t r = 0; r < off_result.requests.size(); ++r) {
     if (off_result.requests[r].admitted) {
-      baseline.push_back(off_result.requests[r].ttft);
+      baseline.Add(off_result.requests[r].ttft);
     }
     if (on_result.requests[r].retrieval_cache_hit) {
-      cached.push_back(on_result.requests[r].ttft);
+      cached.Add(on_result.requests[r].ttft);
     }
   }
-  ASSERT_GT(cached.size(), 50u);
-  EXPECT_LT(PercentileOf(cached, 0.5), PercentileOf(baseline, 0.5));
+  ASSERT_GT(cached.count(), 50);
+  EXPECT_LT(cached.Percentile(0.5), baseline.Percentile(0.5));
 }
 
 TEST(CacheRuntimeTest, MeasuredDocCachePricingLowersPrefixTtft) {

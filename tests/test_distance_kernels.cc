@@ -307,10 +307,8 @@ TEST(DistanceKernels, ScanCodesPackedIntoTopKMatchesStridedScan) {
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
     TopK packed_top(17);
-    std::vector<float> scratch;
     ScanCodesPackedIntoTopK(table.data(), packed.data(), codes, m,
-                            /*ids=*/nullptr, /*base_id=*/5, packed_top,
-                            scratch);
+                            /*ids=*/nullptr, /*base_id=*/5, packed_top);
     const std::vector<Neighbor> b = packed_top.SortedTake();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -360,11 +358,8 @@ TEST(DistanceKernels, ArgMinFirstIndexWinsTies) {
   std::memcpy(rows.data() + 3 * dim, query.data(), dim * sizeof(float));
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
-    std::vector<float> scratch;
     float min_dist = -1.0f;
-    EXPECT_EQ(ArgMinL2(query.data(), rows.data(), 5, dim, scratch,
-                       &min_dist),
-              2u);
+    EXPECT_EQ(ArgMinL2(query.data(), rows.data(), 5, dim, &min_dist), 2u);
     EXPECT_EQ(min_dist, 0.0f);
   }
 }

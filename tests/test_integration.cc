@@ -21,8 +21,9 @@
 #include "retrieval/perf/scann_model.h"
 #include "retrieval/serving/calibration.h"
 #include "retrieval/serving/sharded_index.h"
+#include "serving/runtime/runtime.h"
+#include "serving/runtime/workload.h"
 #include "sim/iterative_sim.h"
-#include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
 
 namespace rago {
@@ -114,7 +115,7 @@ TEST(Integration, FunctionalTreeAndCostModelAgreeOnScanTradeoff) {
 
 TEST(Integration, MeasuredRetrievalTierMatchesScannModelInServingDes) {
   // The serving DES with the measured-cost retrieval tier swapped in
-  // (ServingSimOptions::retrieval_model) must agree with the default
+  // (RuntimeOptions::retrieval_model) must agree with the default
   // analytical tier within a bounded relative error when the measured
   // profile carries the analytical model's own constants — the
   // cross-validation path real calibrations plug into.
@@ -139,19 +140,22 @@ TEST(Integration, MeasuredRetrievalTierMatchesScannModelInServingDes) {
   const retrieval::MeasuredRetrievalModel measured_tier(
       profile, DefaultCluster().cpu_server, schedule.retrieval_servers);
 
-  const sim::ArrivalTrace trace = sim::PoissonTrace(200, 60.0, 9);
-  const sim::ServingSimResult analytic =
-      sim::SimulateServing(model, schedule, trace);
-  sim::ServingSimOptions options;
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(200, 60.0, 9);
+  const runtime::RuntimeResult analytic =
+      runtime::ServePriced(model, schedule, trace, {});
+  runtime::RuntimeOptions options;
   options.retrieval_model = &measured_tier;
-  const sim::ServingSimResult measured =
-      sim::SimulateServing(model, schedule, trace, options);
+  const runtime::RuntimeResult measured =
+      runtime::ServePriced(model, schedule, trace, options);
 
+  // The retrieval tier is the server after the collocation groups.
+  const auto retrieval = static_cast<size_t>(schedule.NumGroups());
   EXPECT_EQ(measured.completed, analytic.completed);
-  RAGO_EXPECT_REL_NEAR(measured.avg_ttft, analytic.avg_ttft, 0.05);
+  RAGO_EXPECT_REL_NEAR(measured.ttft.Mean(), analytic.ttft.Mean(), 0.05);
   RAGO_EXPECT_REL_NEAR(measured.throughput, analytic.throughput, 0.05);
-  RAGO_EXPECT_REL_NEAR(measured.retrieval_utilization,
-                       analytic.retrieval_utilization, 0.05);
+  RAGO_EXPECT_REL_NEAR(
+      measured.server_busy_seconds[retrieval] / measured.makespan,
+      analytic.server_busy_seconds[retrieval] / analytic.makespan, 0.05);
 }
 
 TEST(Integration, FunctionalShardedCalibrationDrivesServingDes) {
@@ -181,27 +185,27 @@ TEST(Integration, FunctionalShardedCalibrationDrivesServingDes) {
   schedule.retrieval_servers = model.MinRetrievalServers();
   schedule.retrieval_batch = 4;
 
-  const sim::ArrivalTrace trace = sim::PoissonTrace(100, 60.0, 5);
-  sim::ServingSimOptions options;
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(100, 60.0, 5);
+  runtime::RuntimeOptions options;
   options.retrieval_model = &measured_tier;
-  const sim::ServingSimResult result =
-      sim::SimulateServing(model, schedule, trace, options);
-  const sim::ServingSimResult analytic =
-      sim::SimulateServing(model, schedule, trace);
+  const runtime::RuntimeResult result =
+      runtime::ServePriced(model, schedule, trace, options);
+  const runtime::RuntimeResult analytic =
+      runtime::ServePriced(model, schedule, trace, {});
 
   EXPECT_EQ(result.completed, 100);
-  EXPECT_GT(result.avg_ttft, 0.0);
-  EXPECT_LE(result.avg_ttft, analytic.avg_ttft * 1.01);
+  EXPECT_GT(result.ttft.Mean(), 0.0);
+  EXPECT_LE(result.ttft.Mean(), analytic.ttft.Mean() * 1.01);
   EXPECT_LT(measured_tier.Search(1).latency,
             model.EvalRetrieval(1, schedule.retrieval_servers).latency);
 }
 
 TEST(Integration, ServingDesTracksAnalyticalModelAcrossOptimizerGrid) {
   // ROADMAP cross-validation harness: instead of spot-checking one
-  // hand-written schedule, sweep SimulateServing across points of the
-  // optimizer's own Pareto frontier (searched in parallel via
-  // SearchOptions::num_threads) and assert bounded disagreement with
-  // the closed-form model at the operating points it describes:
+  // hand-written schedule, sweep the DES (runtime::ServePriced) across
+  // points of the optimizer's own Pareto frontier (searched in parallel
+  // via SearchOptions::num_threads) and assert bounded disagreement
+  // with the closed-form model at the operating points it describes:
   //  - saturation: completion rate approaches the analytical QPS;
   //  - light load with immediate batch flush: TTFT approaches the
   //    analytical batch-flow latency;
@@ -219,27 +223,27 @@ TEST(Integration, ServingDesTracksAnalyticalModelAcrossOptimizerGrid) {
     ASSERT_TRUE(point.perf.feasible);
 
     // Saturation: offered load far above capacity.
-    const sim::ServingSimResult saturated = sim::SimulateServing(
+    const runtime::RuntimeResult saturated = runtime::ServePriced(
         model, point.schedule,
-        sim::UniformTrace(1200, point.perf.qps * 5.0));
+        runtime::UniformTrace(1200, point.perf.qps * 5.0), {});
     EXPECT_EQ(saturated.completed, 1200);
     RAGO_EXPECT_REL_NEAR(saturated.throughput, point.perf.qps, 0.25);
 
     // Light load, immediate partial-batch flush: no queueing or
     // batch-forming wait, so TTFT ~= the analytical batch-flow TTFT.
-    sim::ServingSimOptions flush_fast;
+    runtime::RuntimeOptions flush_fast;
     flush_fast.batch_timeout = 1e-4;
-    const sim::ServingSimResult light = sim::SimulateServing(
-        model, point.schedule, sim::UniformTrace(30, 2.0), flush_fast);
+    const runtime::RuntimeResult light = runtime::ServePriced(
+        model, point.schedule, runtime::UniformTrace(30, 2.0), flush_fast);
     EXPECT_EQ(light.completed, 30);
-    RAGO_EXPECT_REL_NEAR(light.avg_ttft, point.perf.ttft, 0.35);
+    RAGO_EXPECT_REL_NEAR(light.ttft.Mean(), point.perf.ttft, 0.35);
 
     // Sub-saturation: the DES must deliver the offered load. The trace
     // is long enough that the drain tail after the last arrival cannot
     // bias completed/makespan.
     const double offered = point.perf.qps * 0.4;
-    const sim::ServingSimResult cruising = sim::SimulateServing(
-        model, point.schedule, sim::UniformTrace(2500, offered));
+    const runtime::RuntimeResult cruising = runtime::ServePriced(
+        model, point.schedule, runtime::UniformTrace(2500, offered), {});
     RAGO_EXPECT_REL_NEAR(cruising.throughput, offered, 0.10);
 
     ++points_checked;

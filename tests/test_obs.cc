@@ -4,10 +4,11 @@
  * event fields, per-request filtering, and the exact shape of the
  * Chrome trace-event export — pinned by parsing the emitted JSON with
  * the in-tree reader rather than string matching. Also covers the DES
- * integration path (ServingSimOptions::trace).
+ * integration path (runtime::ServePriced with RuntimeOptions::trace).
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,8 @@
 #include "serving/obs/slo_alerts.h"
 #include "serving/obs/timeseries.h"
 #include "serving/obs/trace.h"
-#include "sim/serving_sim.h"
+#include "serving/runtime/runtime.h"
+#include "serving/runtime/workload.h"
 #include "tests/testing/test_support.h"
 
 namespace rago::obs {
@@ -172,6 +174,15 @@ TEST(TraceRecorder, RequestSummaryGroupsByRequestId) {
 
 // --- DES integration -------------------------------------------------
 
+using runtime::PoissonTrace;
+using runtime::RuntimeOptions;
+using runtime::RuntimeResult;
+using runtime::ServePriced;
+
+// An SLO bound no latency misses (Validate accepts +inf), for observed
+// DES runs whose test classifies completions against no SLO.
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+
 core::Schedule SimpleSchedule(const core::PipelineModel& model,
                               int group_chips, int decode_chips,
                               int64_t batch, int64_t decode_batch) {
@@ -189,22 +200,22 @@ core::Schedule SimpleSchedule(const core::PipelineModel& model,
 TEST(TraceRecorder, DesSimulationEmitsLoadableTrace) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(50, 100.0, 3);
+  const runtime::ArrivalTrace trace = PoissonTrace(50, 100.0, 3);
 
-  const sim::ServingSimResult plain =
-      sim::SimulateServing(model, schedule, trace);
+  RuntimeOptions base;
+  base.slo = {kNoBound, kNoBound};
+  const RuntimeResult plain = ServePriced(model, schedule, trace, base);
 
   TraceRecorder recorder;
-  sim::ServingSimOptions options;
+  RuntimeOptions options = base;
   options.trace = &recorder;
-  const sim::ServingSimResult traced =
-      sim::SimulateServing(model, schedule, trace, options);
+  const RuntimeResult traced = ServePriced(model, schedule, trace, options);
 
   // Observation-only: identical outcomes with the recorder attached.
   EXPECT_EQ(traced.completed, plain.completed);
   EXPECT_DOUBLE_EQ(traced.makespan, plain.makespan);
-  EXPECT_DOUBLE_EQ(traced.p99_ttft, plain.p99_ttft);
-  EXPECT_DOUBLE_EQ(traced.p99_tpot, plain.p99_tpot);
+  EXPECT_DOUBLE_EQ(traced.ttft.Percentile(0.99), plain.ttft.Percentile(0.99));
+  EXPECT_DOUBLE_EQ(traced.tpot.Percentile(0.99), plain.tpot.Percentile(0.99));
 
   EXPECT_GT(recorder.size(), 0u);
   bool saw_stage_span = false;
@@ -350,13 +361,14 @@ TEST(TraceSampling, TailKeepRetainsWorstAndViolatorsOutrankSlow) {
 TEST(TraceSampling, DesSampledTraceIsASubsetOfTheFullTrace) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(80, 120.0, 3);
+  const runtime::ArrivalTrace trace = PoissonTrace(80, 120.0, 3);
 
   TraceRecorder full;
-  sim::ServingSimOptions full_options;
+  RuntimeOptions full_options;
+  full_options.slo = {kNoBound, kNoBound};
   full_options.trace = &full;
-  const sim::ServingSimResult full_result =
-      sim::SimulateServing(model, schedule, trace, full_options);
+  const RuntimeResult full_result =
+      ServePriced(model, schedule, trace, full_options);
 
   TraceRecorder sampled;
   TraceSamplingOptions sampling;
@@ -364,15 +376,16 @@ TEST(TraceSampling, DesSampledTraceIsASubsetOfTheFullTrace) {
   sampling.tail_keep = 4;
   sampling.seed = 5;
   sampled.SetSampling(sampling);
-  sim::ServingSimOptions sampled_options;
+  RuntimeOptions sampled_options = full_options;
   sampled_options.trace = &sampled;
-  const sim::ServingSimResult sampled_result =
-      sim::SimulateServing(model, schedule, trace, sampled_options);
+  const RuntimeResult sampled_result =
+      ServePriced(model, schedule, trace, sampled_options);
 
   // Sampling is observation-side only: identical simulation results.
   EXPECT_EQ(sampled_result.completed, full_result.completed);
   EXPECT_DOUBLE_EQ(sampled_result.makespan, full_result.makespan);
-  EXPECT_DOUBLE_EQ(sampled_result.p99_ttft, full_result.p99_ttft);
+  EXPECT_DOUBLE_EQ(sampled_result.ttft.Percentile(0.99),
+                   full_result.ttft.Percentile(0.99));
 
   EXPECT_EQ(sampled.finalized_requests(), 80);
   EXPECT_EQ(sampled.pending_requests(), 0u);
@@ -405,10 +418,11 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   // recorder — none of it may move a single result field.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(80, 120.0, 3);
+  const runtime::ArrivalTrace trace = PoissonTrace(80, 120.0, 3);
 
-  const sim::ServingSimResult plain =
-      sim::SimulateServing(model, schedule, trace);
+  RuntimeOptions base;
+  base.slo = {1e-9, kNoBound};  // Nothing can meet this TTFT.
+  const RuntimeResult plain = ServePriced(model, schedule, trace, base);
 
   TelemetryTimeSeries series;
   SloAlertOptions alert_options;
@@ -417,17 +431,16 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   alert_options.rules.back().long_window_seconds = 2.0;
   SloAlertEngine alerts(alert_options);
   FlightRecorder flight(32);
-  sim::ServingSimOptions options;
+  RuntimeOptions options = base;
   options.timeseries = &series;
   options.alerts = &alerts;
   options.flight = &flight;
-  options.slo_ttft_seconds = 1e-9;  // Nothing can meet this.
-  const sim::ServingSimResult observed =
-      sim::SimulateServing(model, schedule, trace, options);
+  const RuntimeResult observed = ServePriced(model, schedule, trace, options);
 
   EXPECT_EQ(observed.completed, plain.completed);
   EXPECT_DOUBLE_EQ(observed.makespan, plain.makespan);
-  EXPECT_DOUBLE_EQ(observed.p99_ttft, plain.p99_ttft);
+  EXPECT_DOUBLE_EQ(observed.ttft.Percentile(0.99),
+                   plain.ttft.Percentile(0.99));
   EXPECT_DOUBLE_EQ(observed.decode_utilization, plain.decode_utilization);
 
   // The ladder saw every arrival and completion.
@@ -464,7 +477,7 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
 TEST(TraceSampling, DesSampledExportBytesArePinned) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(2000, 120.0, 3);
+  const runtime::ArrivalTrace trace = PoissonTrace(2000, 120.0, 3);
 
   TelemetryTimeSeries series;
   SloAlertOptions alert_options;
@@ -478,12 +491,12 @@ TEST(TraceSampling, DesSampledExportBytesArePinned) {
   sampling.tail_keep = 32;
   sampling.seed = 9;
   recorder.SetSampling(sampling);
-  sim::ServingSimOptions options;
+  RuntimeOptions options;
   options.trace = &recorder;
   options.timeseries = &series;
   options.alerts = &alerts;
-  options.slo_ttft_seconds = 0.05;
-  sim::SimulateServing(model, schedule, trace, options);
+  options.slo = {0.05, kNoBound};
+  ServePriced(model, schedule, trace, options);
 
   const std::string chrome = recorder.ChromeTraceJson();
   const std::string summary = recorder.RequestSummaryJson();
@@ -510,10 +523,10 @@ TEST(TraceSampling, DiscardedRequestsNeverMaterialize) {
   TraceSamplingOptions sampling;
   sampling.head_rate = 0.0;
   recorder.SetSampling(sampling);
-  sim::ServingSimOptions options;
+  RuntimeOptions options;
+  options.slo = {kNoBound, kNoBound};
   options.trace = &recorder;
-  sim::SimulateServing(model, schedule, sim::PoissonTrace(300, 120.0, 3),
-                       options);
+  ServePriced(model, schedule, PoissonTrace(300, 120.0, 3), options);
 
   EXPECT_EQ(recorder.finalized_requests(), 300);
   EXPECT_EQ(recorder.discarded_requests(), 300);
@@ -539,15 +552,14 @@ TEST(TraceSampling, DiscardedRequestsNeverMaterialize) {
 TEST(TraceSampling, SimRequiresTimeseriesForAlerts) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::BurstTrace(4);
+  const runtime::ArrivalTrace trace = runtime::BurstTrace(4);
 
   SloAlertOptions alert_options;
   alert_options.rules.push_back({});
   SloAlertEngine alerts(alert_options);
-  sim::ServingSimOptions options;
+  RuntimeOptions options;
   options.alerts = &alerts;  // No timeseries: nothing feeds the engine.
-  EXPECT_THROW(sim::SimulateServing(model, schedule, trace, options),
-               ConfigError);
+  EXPECT_THROW(ServePriced(model, schedule, trace, options), ConfigError);
 }
 
 }  // namespace

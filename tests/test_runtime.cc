@@ -8,11 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -31,7 +33,6 @@
 #include "serving/runtime/decode_pool.h"
 #include "serving/runtime/runtime.h"
 #include "serving/runtime/workload.h"
-#include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
 
 namespace rago::runtime {
@@ -444,7 +445,6 @@ TEST(ServingRuntimeTest, ServesPoissonWorkloadEndToEnd) {
   EXPECT_GT(result.stages[0].batches, 0);
   EXPECT_GE(result.stages[0].batches, result.stages[0].full_batches);
   EXPECT_EQ(result.stages[0].queue_wait.count(), 200);
-  EXPECT_FALSE(result.stages[0].timeline.empty());
   for (const StageTelemetry& stage : result.stages) {
     EXPECT_GE(stage.utilization, 0.0);
     EXPECT_LE(stage.utilization, 1.01);
@@ -676,10 +676,11 @@ TEST(ServingRuntimeTest, HistogramSampleCapSwitchoverIsSurfacedNotSilent) {
 }
 
 TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
-  // Runtime-vs-DES cross-check: both engines run the same batching
-  // semantics on model-priced virtual time, and the real scans feed
-  // results, never the clock. With admission out of reach the two must
-  // therefore agree bit for bit, not merely within a tolerance.
+  // Runtime-vs-DES cross-check: Serve and ServePriced run one event
+  // loop on model-priced virtual time, and the real scans feed
+  // results, never the clock. Under one RuntimeOptions every
+  // virtual-clock output must therefore agree bit for bit, not merely
+  // within a tolerance.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   opt::SearchOptions search = rago::testing::SmallSearchGrid();
   search.num_threads = 2;
@@ -687,6 +688,8 @@ TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
       opt::Optimizer(model, search).Search();
   ASSERT_FALSE(frontier.pareto.empty());
   const LiveTier tier = MakeLiveTier();
+  RuntimeOptions options;
+  options.num_threads = 2;
 
   const size_t stride = std::max<size_t>(1, frontier.pareto.size() / 3);
   int points_checked = 0;
@@ -695,31 +698,50 @@ TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
     const ArrivalTrace trace =
         PoissonTrace(400, point.perf.qps * 0.6, 23);
 
-    const sim::ServingSimResult des =
-        sim::SimulateServing(model, point.schedule, trace);
-    RuntimeOptions options;
-    options.admission_queue_limit = 1 << 20;  // Effectively unbounded.
-    options.num_threads = 2;
-    const ServingRuntime runtime(model, point.schedule, tier.index,
-                                 options);
-    const RuntimeResult live = runtime.Serve(trace, tier.queries);
+    const RuntimeResult des =
+        ServePriced(model, point.schedule, trace, options);
+    const RuntimeResult live =
+        ServingRuntime(model, point.schedule, tier.index, options)
+            .Serve(trace, tier.queries);
 
     EXPECT_EQ(live.completed, des.completed);
-    EXPECT_EQ(live.throughput, des.throughput);
     EXPECT_EQ(live.makespan, des.makespan);
-    EXPECT_EQ(live.ttft.Mean(), des.avg_ttft);
-    EXPECT_EQ(live.ttft.Percentile(0.99), des.p99_ttft);
-    EXPECT_EQ(live.tpot.Mean(), des.avg_tpot);
+    ASSERT_EQ(live.requests.size(), des.requests.size());
+    for (size_t r = 0; r < live.requests.size(); ++r) {
+      const RequestOutcome& a = live.requests[r];
+      const RequestOutcome& b = des.requests[r];
+      EXPECT_EQ(a.ttft, b.ttft) << "request " << r;
+      EXPECT_EQ(a.tpot, b.tpot) << "request " << r;
+      EXPECT_EQ(a.completion, b.completion) << "request " << r;
+      EXPECT_EQ(a.queue_wait, b.queue_wait) << "request " << r;
+    }
+    ASSERT_EQ(live.stages.size(), des.stages.size());
+    for (size_t s = 0; s < live.stages.size(); ++s) {
+      EXPECT_EQ(live.stages[s].batches, des.stages[s].batches) << s;
+      EXPECT_EQ(live.stages[s].full_batches, des.stages[s].full_batches)
+          << s;
+      EXPECT_EQ(live.stages[s].busy_seconds, des.stages[s].busy_seconds)
+          << s;
+    }
+    EXPECT_EQ(live.server_busy_seconds, des.server_busy_seconds);
+    EXPECT_EQ(live.events_processed, des.events_processed);
+    EXPECT_EQ(live.event_heap_high_water, des.event_heap_high_water);
+    EXPECT_EQ(live.decode_steps, des.decode_steps);
     EXPECT_EQ(live.decode_utilization, des.decode_utilization);
+    EXPECT_EQ(live.throughput, des.throughput);
+    EXPECT_EQ(live.ttft.Mean(), des.ttft.Mean());
+    EXPECT_EQ(live.ttft.Percentile(0.99), des.ttft.Percentile(0.99));
+    EXPECT_EQ(live.tpot.Mean(), des.tpot.Mean());
+    EXPECT_EQ(live.tpot.Percentile(0.99), des.tpot.Percentile(0.99));
     ++points_checked;
   }
   EXPECT_GE(points_checked, 2);
 }
 
 TEST(ServingRuntimeTest, DesObservationSurfacesMatchTheRuntimeBytes) {
-  // With admission out of reach and no cache, SimulateServing is the
-  // runtime's event loop with retrieval priced instead of scanned. The
-  // serialized observation surfaces carry no scan results, so they
+  // Without a cache, ServePriced is the runtime's event loop with
+  // retrieval priced instead of scanned. The serialized observation
+  // surfaces carry no scan results, so under the same options they
   // must be the same bytes from both entry points.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
@@ -736,35 +758,33 @@ TEST(ServingRuntimeTest, DesObservationSurfacesMatchTheRuntimeBytes) {
   alert_options.rules.back().short_window_seconds = 0.2;
   alert_options.rules.back().long_window_seconds = 0.6;
 
+  RuntimeOptions options;
+  options.num_threads = 1;
+  options.slo = slo;
+
   obs::TelemetryTimeSeries live_series(ts_options);
   obs::SloAlertEngine live_alerts(alert_options);
   obs::FlightRecorder live_flight(64);
   obs::TraceRecorder live_trace;
-  RuntimeOptions options;
-  options.admission_queue_limit = 1 << 20;
-  options.num_threads = 1;
-  options.slo = slo;
-  options.timeseries = &live_series;
-  options.alerts = &live_alerts;
-  options.flight = &live_flight;
-  options.trace = &live_trace;
+  RuntimeOptions live_options = options;
+  live_options.timeseries = &live_series;
+  live_options.alerts = &live_alerts;
+  live_options.flight = &live_flight;
+  live_options.trace = &live_trace;
   const RuntimeResult live =
-      ServingRuntime(model, schedule, tier.index, options)
+      ServingRuntime(model, schedule, tier.index, live_options)
           .Serve(trace, tier.queries);
 
   obs::TelemetryTimeSeries des_series(ts_options);
   obs::SloAlertEngine des_alerts(alert_options);
   obs::FlightRecorder des_flight(64);
   obs::TraceRecorder des_trace;
-  sim::ServingSimOptions des_options;
-  des_options.slo_ttft_seconds = slo.ttft_seconds;
-  des_options.slo_tpot_seconds = slo.tpot_seconds;
+  RuntimeOptions des_options = options;
   des_options.timeseries = &des_series;
   des_options.alerts = &des_alerts;
   des_options.flight = &des_flight;
   des_options.trace = &des_trace;
-  const sim::ServingSimResult des =
-      sim::SimulateServing(model, schedule, trace, des_options);
+  const RuntimeResult des = ServePriced(model, schedule, trace, des_options);
 
   EXPECT_EQ(live.completed, des.completed);
   EXPECT_EQ(des_series.Json(), live_series.Json());
@@ -1002,46 +1022,67 @@ TEST(ServingRuntimeTest, AlertsWithoutTimeseriesAreRejected) {
 }
 
 TEST(ServingRuntimeTest, CounterTracksExportStageTimelines) {
-  // Satellite of the telemetry layer: the per-stage queue-depth /
-  // utilization timelines the runtime already aggregates replay into
-  // Chrome "C" counter events, one pair per timeline point.
+  // While tracing, every queue-depth sample of a stage is a pair of
+  // Chrome "C" counter events (queue depth, utilization so far), and
+  // timeline_limit = L caps each stage at L pairs: a stage with more
+  // than L samples emits exactly 2L counter events.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   const LiveTier tier = MakeLiveTier();
-  obs::TraceRecorder recorder;
-  RuntimeOptions options;
-  options.trace = &recorder;
-  const ServingRuntime runtime(model, schedule, tier.index, options);
-  const RuntimeResult result =
-      runtime.Serve(PoissonTrace(40, 100.0, 7), tier.queries);
+  const ArrivalTrace trace = PoissonTrace(40, 100.0, 7);
 
-  size_t timeline_points = 0;
-  for (const StageTelemetry& telemetry : result.stages) {
-    timeline_points += telemetry.timeline.size();
-  }
-  ASSERT_GT(timeline_points, 0u);
+  // Counter events per stage label, split into the two tracks.
+  using TrackCounts = std::map<std::string, std::pair<int64_t, int64_t>>;
+  const auto count_counters = [&](int limit) {
+    obs::TraceRecorder recorder;
+    RuntimeOptions options;
+    options.trace = &recorder;
+    options.timeline_limit = limit;
+    ServingRuntime(model, schedule, tier.index, options)
+        .Serve(trace, tier.queries);
+    TrackCounts counts;
+    const JsonValue doc = JsonValue::Parse(recorder.ChromeTraceJson());
+    for (const JsonValue& event : doc.At("traceEvents").Items()) {
+      if (event.At("ph").AsString() != "C") {
+        continue;
+      }
+      const std::string& name = event.At("name").AsString();
+      EXPECT_GE(event.At("args").At("value").AsNumber(), 0.0);
+      const std::string depth = "queue-depth: ";
+      const std::string util = "utilization: ";
+      if (name.rfind(depth, 0) == 0) {
+        ++counts[name.substr(depth.size())].first;
+      } else if (name.rfind(util, 0) == 0) {
+        ++counts[name.substr(util.size())].second;
+      } else {
+        ADD_FAILURE() << "unexpected counter track: " << name;
+      }
+    }
+    return counts;
+  };
 
-  int64_t queue_counters = 0;
-  int64_t util_counters = 0;
-  const JsonValue doc = JsonValue::Parse(recorder.ChromeTraceJson());
-  for (const JsonValue& event : doc.At("traceEvents").Items()) {
-    if (event.At("ph").AsString() != "C") {
-      continue;
-    }
-    const std::string& name = event.At("name").AsString();
-    const double value = event.At("args").At("value").AsNumber();
-    if (name.rfind("queue-depth: ", 0) == 0) {
-      ++queue_counters;
-      EXPECT_GE(value, 0.0);
-    } else if (name.rfind("utilization: ", 0) == 0) {
-      ++util_counters;
-      EXPECT_GE(value, 0.0);
-    } else {
-      ADD_FAILURE() << "unexpected counter track: " << name;
-    }
+  const TrackCounts uncapped = count_counters(1 << 20);
+  ASSERT_EQ(uncapped.size(), 2u);  // retrieval, prefix.
+  int64_t most = 0;
+  for (const auto& [stage, pair] : uncapped) {
+    EXPECT_EQ(pair.first, pair.second) << stage;
+    EXPECT_GT(pair.first, 0) << stage;
+    most = std::max(most, pair.first);
   }
-  EXPECT_EQ(queue_counters, static_cast<int64_t>(timeline_points));
-  EXPECT_EQ(util_counters, static_cast<int64_t>(timeline_points));
+
+  const int limit = static_cast<int>(most / 2);
+  ASSERT_GT(limit, 0);
+  const TrackCounts capped = count_counters(limit);
+  ASSERT_EQ(capped.size(), uncapped.size());
+  int capped_stages = 0;
+  for (const auto& [stage, pair] : uncapped) {
+    const int64_t expected = std::min<int64_t>(pair.first, limit);
+    EXPECT_EQ(capped.at(stage).first, expected) << stage;
+    EXPECT_EQ(capped.at(stage).second, expected) << stage;
+    capped_stages += pair.first > limit ? 1 : 0;
+  }
+  EXPECT_GE(capped_stages, 1);
+  EXPECT_TRUE(count_counters(0).empty());
 }
 
 }  // namespace

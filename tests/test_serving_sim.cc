@@ -1,21 +1,26 @@
 /**
  * @file test_serving_sim.cc
- * Tests for the trace-driven serving simulator, including the key
- * validation property: the DES and the analytical pipeline model must
- * agree at the operating points the closed form describes.
+ * Tests for the trace-driven serving DES (runtime::ServePriced: the
+ * runtime's event loop with retrieval priced, not scanned), including
+ * the key validation property: the DES and the analytical pipeline
+ * model must agree at the operating points the closed form describes.
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.h"
 #include "common/fnv.h"
+#include "common/histogram.h"
 #include "core/pipeline_model.h"
 #include "core/schema.h"
 #include "hardware/cluster.h"
 #include "rago/optimizer.h"
-#include "sim/serving_sim.h"
+#include "serving/runtime/runtime.h"
+#include "serving/runtime/workload.h"
 #include "tests/testing/test_support.h"
 
-namespace rago::sim {
+namespace rago::runtime {
 namespace {
 
 core::Schedule SimpleSchedule(const core::PipelineModel& model,
@@ -54,12 +59,12 @@ TEST(ServingSim, Traces) {
 TEST(ServingSim, AllRequestsComplete) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const ServingSimResult result =
-      SimulateServing(model, schedule, PoissonTrace(200, 100.0, 3));
+  const RuntimeResult result =
+      ServePriced(model, schedule, PoissonTrace(200, 100.0, 3), {});
   EXPECT_EQ(result.completed, 200);
   EXPECT_GT(result.throughput, 0.0);
-  EXPECT_GT(result.avg_ttft, 0.0);
-  EXPECT_GE(result.p99_ttft, result.avg_ttft);
+  EXPECT_GT(result.ttft.Mean(), 0.0);
+  EXPECT_GE(result.ttft.Percentile(0.99), result.ttft.Mean());
 }
 
 TEST(ServingSim, PercentilesOrderedAndPopulated) {
@@ -67,25 +72,26 @@ TEST(ServingSim, PercentilesOrderedAndPopulated) {
   // be ordered and consistent with the means.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const ServingSimResult result =
-      SimulateServing(model, schedule, PoissonTrace(400, 150.0, 5));
-  EXPECT_GT(result.p50_ttft, 0.0);
-  EXPECT_LE(result.p50_ttft, result.p95_ttft);
-  EXPECT_LE(result.p95_ttft, result.p99_ttft);
-  EXPECT_LE(result.p50_ttft, result.avg_ttft * 2.0);
-  EXPECT_GT(result.p50_tpot, 0.0);
-  EXPECT_LE(result.p50_tpot, result.p95_tpot);
-  EXPECT_LE(result.p95_tpot, result.p99_tpot);
+  const RuntimeResult result =
+      ServePriced(model, schedule, PoissonTrace(400, 150.0, 5), {});
+  const Histogram& ttft = result.ttft;
+  const Histogram& tpot = result.tpot;
+  EXPECT_GT(ttft.Percentile(0.50), 0.0);
+  EXPECT_LE(ttft.Percentile(0.50), ttft.Percentile(0.95));
+  EXPECT_LE(ttft.Percentile(0.95), ttft.Percentile(0.99));
+  EXPECT_LE(ttft.Percentile(0.50), ttft.Mean() * 2.0);
+  EXPECT_GT(tpot.Percentile(0.50), 0.0);
+  EXPECT_LE(tpot.Percentile(0.50), tpot.Percentile(0.95));
+  EXPECT_LE(tpot.Percentile(0.95), tpot.Percentile(0.99));
 }
 
 TEST(ServingSim, RejectsNegativeBatchTimeout) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  ServingSimOptions options;
+  RuntimeOptions options;
   options.batch_timeout = -0.01;
-  EXPECT_THROW(
-      SimulateServing(model, schedule, UniformTrace(10, 5.0), options),
-      rago::ConfigError);
+  EXPECT_THROW(ServePriced(model, schedule, UniformTrace(10, 5.0), options),
+               rago::ConfigError);
 }
 
 TEST(ServingSim, LowLoadTtftApproachesAnalyticalLatency) {
@@ -95,9 +101,9 @@ TEST(ServingSim, LowLoadTtftApproachesAnalyticalLatency) {
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 1, 16);
   const core::EndToEndPerf analytic = model.Evaluate(schedule);
   ASSERT_TRUE(analytic.feasible);
-  const ServingSimResult result =
-      SimulateServing(model, schedule, UniformTrace(50, 2.0));
-  RAGO_EXPECT_REL_NEAR(result.avg_ttft, analytic.ttft, 0.25);
+  const RuntimeResult result =
+      ServePriced(model, schedule, UniformTrace(50, 2.0), {});
+  RAGO_EXPECT_REL_NEAR(result.ttft.Mean(), analytic.ttft, 0.25);
 }
 
 TEST(ServingSim, SaturationThroughputMatchesAnalyticalQps) {
@@ -107,8 +113,8 @@ TEST(ServingSim, SaturationThroughputMatchesAnalyticalQps) {
   const core::Schedule schedule = SimpleSchedule(model, 16, 16, 16, 256);
   const core::EndToEndPerf analytic = model.Evaluate(schedule);
   ASSERT_TRUE(analytic.feasible);
-  const ServingSimResult result = SimulateServing(
-      model, schedule, UniformTrace(3000, analytic.qps * 5.0));
+  const RuntimeResult result = ServePriced(
+      model, schedule, UniformTrace(3000, analytic.qps * 5.0), {});
   EXPECT_NEAR(result.throughput / analytic.qps, 1.0, 0.20);
 }
 
@@ -117,8 +123,8 @@ TEST(ServingSim, ThroughputCappedByOfferedLoad) {
   const core::Schedule schedule = SimpleSchedule(model, 16, 16, 4, 64);
   const core::EndToEndPerf analytic = model.Evaluate(schedule);
   const double offered = analytic.qps * 0.3;
-  const ServingSimResult result =
-      SimulateServing(model, schedule, UniformTrace(500, offered));
+  const RuntimeResult result =
+      ServePriced(model, schedule, UniformTrace(500, offered), {});
   EXPECT_LE(result.throughput, offered * 1.1);
   RAGO_EXPECT_REL_NEAR(result.throughput, offered, 0.1);
 }
@@ -127,13 +133,14 @@ TEST(ServingSim, UtilizationBoundedAndBottleneckHighest) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 16, 16, 16, 256);
   const core::EndToEndPerf analytic = model.Evaluate(schedule);
-  const ServingSimResult result = SimulateServing(
-      model, schedule, UniformTrace(2000, analytic.qps * 3.0));
-  for (double u : result.group_utilization) {
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.01);
+  const RuntimeResult result = ServePriced(
+      model, schedule, UniformTrace(2000, analytic.qps * 3.0), {});
+  // Every server (the collocation groups, then retrieval) is busy at
+  // most the whole makespan.
+  for (double busy : result.server_busy_seconds) {
+    EXPECT_GE(busy / result.makespan, 0.0);
+    EXPECT_LE(busy / result.makespan, 1.01);
   }
-  EXPECT_LE(result.retrieval_utilization, 1.01);
   EXPECT_LE(result.decode_utilization, 1.01);
 }
 
@@ -145,13 +152,13 @@ TEST(ServingSim, BurstBenefitsFromMicroBatching) {
       core::MakeLongContextSchema(8, 1'000'000), DefaultCluster());
   const core::Schedule micro = SimpleSchedule(model, 32, 8, 2, 64);
   const core::Schedule mono = SimpleSchedule(model, 32, 8, 32, 64);
-  ServingSimOptions options;
+  RuntimeOptions options;
   options.batch_timeout = 10.0;  // Force full batches.
-  const ServingSimResult micro_result =
-      SimulateServing(model, micro, BurstTrace(32), options);
-  const ServingSimResult mono_result =
-      SimulateServing(model, mono, BurstTrace(32), options);
-  EXPECT_LT(micro_result.avg_ttft, mono_result.avg_ttft);
+  const RuntimeResult micro_result =
+      ServePriced(model, micro, BurstTrace(32), options);
+  const RuntimeResult mono_result =
+      ServePriced(model, mono, BurstTrace(32), options);
+  EXPECT_LT(micro_result.ttft.Mean(), mono_result.ttft.Mean());
 }
 
 TEST(ServingSim, MultiGroupPipelineRuns) {
@@ -165,17 +172,18 @@ TEST(ServingSim, MultiGroupPipelineRuns) {
   schedule.decode_batch = 64;
   schedule.retrieval_servers = model.MinRetrievalServers();
   schedule.retrieval_batch = 4;
-  const ServingSimResult result =
-      SimulateServing(model, schedule, PoissonTrace(200, 50.0, 11));
+  const RuntimeResult result =
+      ServePriced(model, schedule, PoissonTrace(200, 50.0, 11), {});
   EXPECT_EQ(result.completed, 200);
-  ASSERT_EQ(result.group_utilization.size(), 2u);
+  // Two collocation groups, then the retrieval tier.
+  ASSERT_EQ(result.server_busy_seconds.size(), 3u);
 }
 
 TEST(ServingSim, RejectsIterativeSchemas) {
   const core::PipelineModel model(core::MakeIterativeSchema(8, 4),
                                   DefaultCluster());
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  EXPECT_THROW(SimulateServing(model, schedule, BurstTrace(4)),
+  EXPECT_THROW(ServePriced(model, schedule, BurstTrace(4), {}),
                rago::ConfigError);
 }
 
@@ -183,34 +191,43 @@ TEST(ServingSim, DeterministicForIdenticalInputs) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   const ArrivalTrace trace = PoissonTrace(100, 80.0, 13);
-  const ServingSimResult a = SimulateServing(model, schedule, trace);
-  const ServingSimResult b = SimulateServing(model, schedule, trace);
-  EXPECT_DOUBLE_EQ(a.avg_ttft, b.avg_ttft);
+  const RuntimeResult a = ServePriced(model, schedule, trace, {});
+  const RuntimeResult b = ServePriced(model, schedule, trace, {});
+  EXPECT_DOUBLE_EQ(a.ttft.Mean(), b.ttft.Mean());
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
 }
 
-uint64_t FoldResult(uint64_t hash, const ServingSimResult& result) {
+// The values the pin has always folded, in their historical order:
+// completion count, makespan, throughput, TTFT and TPOT mean/p50/p95/
+// p99, retrieval and decode utilization, then each collocation group's
+// utilization (busy seconds per server over the makespan).
+uint64_t FoldResult(uint64_t hash, const RuntimeResult& result) {
+  const std::vector<double>& busy = result.server_busy_seconds;
+  const size_t groups = busy.size() - 1;  // Retrieval is the last server.
+  const Histogram& ttft = result.ttft;
+  const Histogram& tpot = result.tpot;
   hash = FnvFoldU64(hash, static_cast<uint64_t>(result.completed));
   for (double value :
-       {result.makespan, result.throughput, result.avg_ttft, result.p50_ttft,
-        result.p95_ttft, result.p99_ttft, result.avg_tpot, result.p50_tpot,
-        result.p95_tpot, result.p99_tpot, result.retrieval_utilization,
+       {result.makespan, result.throughput, ttft.Mean(),
+        ttft.Percentile(0.50), ttft.Percentile(0.95), ttft.Percentile(0.99),
+        tpot.Mean(), tpot.Percentile(0.50), tpot.Percentile(0.95),
+        tpot.Percentile(0.99), busy[groups] / result.makespan,
         result.decode_utilization}) {
     hash = FnvFoldDouble(hash, value);
   }
-  hash = FnvFoldU64(hash, result.group_utilization.size());
-  for (double utilization : result.group_utilization) {
-    hash = FnvFoldDouble(hash, utilization);
+  hash = FnvFoldU64(hash, groups);
+  for (size_t g = 0; g < groups; ++g) {
+    hash = FnvFoldDouble(hash, busy[g] / result.makespan);
   }
   return hash;
 }
 
-// Every ServingSimResult field, bit for bit, over the optimizer
-// frontier x {Poisson, burst, uniform} traffic x two flush timeouts.
-// Case IV adds collocated multi-stage groups, whose utilization sums
-// several stages per server. The hash was taken from the DES's own
-// event loop, before it became a priced-only run of the runtime's
-// engine, so it pins that the merge moved no result bit.
+// Every folded value, bit for bit, over the optimizer frontier x
+// {Poisson, burst, uniform} traffic x two flush timeouts. Case IV adds
+// collocated multi-stage groups, whose utilization sums several stages
+// per server. The hash was taken from the DES's own event loop, before
+// it became a priced-only run of the runtime's engine, so it pins that
+// the merge moved no result bit.
 TEST(ServingSim, ResultsArePinnedAcrossFrontierAndTraffic) {
   const core::PipelineModel models[] = {
       rago::testing::TinyHyperscaleModel(),
@@ -233,10 +250,10 @@ TEST(ServingSim, ResultsArePinnedAcrossFrontierAndTraffic) {
                                      UniformTrace(150, qps * 1.2)};
       for (const ArrivalTrace& trace : traces) {
         for (double timeout : {0.005, 0.05}) {
-          ServingSimOptions options;
+          RuntimeOptions options;
           options.batch_timeout = timeout;
-          const ServingSimResult result =
-              SimulateServing(model, point.schedule, trace, options);
+          const RuntimeResult result =
+              ServePriced(model, point.schedule, trace, options);
           EXPECT_EQ(result.completed,
                     static_cast<int64_t>(trace.arrivals.size()));
           hash = FoldResult(hash, result);
@@ -251,4 +268,4 @@ TEST(ServingSim, ResultsArePinnedAcrossFrontierAndTraffic) {
 }
 
 }  // namespace
-}  // namespace rago::sim
+}  // namespace rago::runtime

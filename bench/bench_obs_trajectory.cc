@@ -334,13 +334,11 @@ int main(int argc, char** argv) {
   // --- Report. ---
   Banner("observability trajectory (scalar kernels, traced run)");
   std::printf("run: %d requests, digest %s, %zu trace events "
-              "(%lld spans, %lld instants, %lld counters), "
-              "%d streaming histograms\n",
+              "(%lld spans, %lld instants, %lld counters)\n",
               requests, DigestHex(result.outcome_digest).c_str(),
               trace.size(), static_cast<long long>(trace_spans),
               static_cast<long long>(trace_instants),
-              static_cast<long long>(trace_counters),
-              result.streaming_histograms);
+              static_cast<long long>(trace_counters));
   std::printf("telemetry: %lld windows closed (%lld folded, %lld "
               "dropped, %zu held), min window attainment %.3f, "
               "%lld/%lld requests trace-sampled, %zu alert transitions, "
@@ -378,7 +376,6 @@ int main(int argc, char** argv) {
   json.Key("admitted").Int(result.admitted);
   json.Key("rejected").Int(result.rejected);
   json.Key("completed").Int(result.completed);
-  json.Key("streaming_histograms").Int(result.streaming_histograms);
   json.Key("events_processed").Int(result.events_processed);
   json.Key("event_heap_high_water").Int(result.event_heap_high_water);
   json.Key("decode_steps").Int(result.decode_steps);

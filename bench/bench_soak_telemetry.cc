@@ -181,7 +181,6 @@ int main(int argc, char** argv) {
   int64_t alert_transitions = 0;
   double slo_attainment = 0.0;
   double min_window_attainment = 1.0;
-  int streaming_histograms = 0;
   int64_t windows_closed = 0, windows_folded = 0, windows_dropped = 0;
   size_t windows_held = 0;
   int64_t finalized = 0, sampled = 0, discarded = 0;
@@ -248,7 +247,6 @@ int main(int argc, char** argv) {
       // RRD semantics: dropped history is gone by design.
       rejected = result.rejected;
       slo_attainment = result.slo_attainment;
-      streaming_histograms = result.streaming_histograms;
       windows_closed = series.windows_closed();
       windows_folded = series.windows_folded();
       windows_dropped = series.windows_dropped();
@@ -324,7 +322,6 @@ int main(int argc, char** argv) {
   json.Key("rejected").Int(rejected);
   json.Key("slo_attainment").Number(slo_attainment);
   json.Key("min_window_attainment").Number(min_window_attainment);
-  json.Key("streaming_histograms").Int(streaming_histograms);
   json.Key("thread_counts").BeginArray();
   for (int threads : thread_counts) {
     json.Int(threads);

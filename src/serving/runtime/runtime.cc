@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <exception>
 #include <iterator>
@@ -109,6 +110,12 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
              const RuntimeOptions& options, const ArrivalTrace& workload,
              const LiveRetrieval* live) {
   RAGO_REQUIRE(!workload.arrivals.empty(), "empty arrival trace");
+  for (double arrival : workload.arrivals) {
+    // NaN would break the event heap's ordering, +inf would make TTFT
+    // inf - inf, and a negative arrival would inflate its own TTFT.
+    RAGO_REQUIRE(std::isfinite(arrival) && arrival >= 0.0,
+                 "arrival times must be finite and non-negative");
+  }
 
   // --- Instantiate the stage graph with model-priced service times,
   // the same for live and priced-only runs. ---
@@ -181,14 +188,10 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
   for (size_t i = 0; i < workload.arrivals.size(); ++i) {
     result.requests[i].arrival = workload.arrivals[i];
   }
-  result.ttft = Histogram(options.histogram_sample_cap);
-  result.tpot = Histogram(options.histogram_sample_cap);
-  result.queue_wait = Histogram(options.histogram_sample_cap);
   result.stages.resize(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
     result.stages[s].type = stages[s].type;
     result.stages[s].server = stages[s].server;
-    result.stages[s].queue_wait = Histogram(options.histogram_sample_cap);
   }
   result.server_busy_seconds.assign(static_cast<size_t>(num_servers), 0.0);
 
@@ -322,8 +325,8 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
   std::vector<InFlight> in_flight;
 
   // Feeds every closed fine window to the flight recorder and the
-  // alert engine; alert transitions become trace instants, flight
-  // records, and (only when opted in) digest folds.
+  // alert engine; alert transitions become trace instants and flight
+  // records, never digest folds.
   auto drain_telemetry_windows = [&]() {
     for (const obs::WindowSummary& window : series->DrainClosed()) {
       const double end = window.start + window.span;
@@ -356,12 +359,6 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
                            "alert", 0, alert_row, transition.time)
               .Arg("short_burn", transition.short_burn)
               .Arg("long_burn", transition.long_burn);
-        }
-        if (alerts->options().fold_into_digest) {
-          digest = FnvFoldDouble(digest, transition.time);
-          digest = FnvFoldU64(digest,
-                              static_cast<uint64_t>(transition.rule));
-          digest = FnvFoldU64(digest, transition.firing ? 1u : 0u);
         }
       }
     }
@@ -888,17 +885,6 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
   digest = FnvFoldDouble(digest, result.measured_prefix_hit_rate);
   result.outcome_digest = digest;
 
-  // Surface (never hide) recorders that hit the sample cap and fell
-  // back to bounded streaming percentiles.
-  result.streaming_histograms =
-      (result.ttft.streaming_active() ? 1 : 0) +
-      (result.tpot.streaming_active() ? 1 : 0) +
-      (result.queue_wait.streaming_active() ? 1 : 0);
-  for (const StageTelemetry& telemetry : result.stages) {
-    result.streaming_histograms +=
-        telemetry.queue_wait.streaming_active() ? 1 : 0;
-  }
-
   // --- Metrics export (opt-in; reads the finished result only, so it
   // can never perturb it). ---
   if (options.metrics != nullptr) {
@@ -919,8 +905,6 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
         .Inc(result.retrieval_cache.hits);
     metrics.GetCounter("runtime.retrieval_cache_misses")
         .Inc(result.retrieval_cache.misses);
-    metrics.GetCounter("runtime.streaming_histograms")
-        .Inc(result.streaming_histograms);
     metrics.GetGauge("runtime.throughput_rps").Set(result.throughput);
     metrics.GetGauge("runtime.makespan_seconds").Set(result.makespan);
     metrics.GetGauge("runtime.slo_attainment").Set(result.slo_attainment);
@@ -959,8 +943,6 @@ RuntimeOptions::Validate() const {
   RAGO_REQUIRE(slo.ttft_seconds > 0 && slo.tpot_seconds > 0,
                "SLO targets must be positive");
   RAGO_REQUIRE(timeline_limit >= 0, "timeline_limit must be >= 0");
-  RAGO_REQUIRE(histogram_sample_cap > 0,
-               "histogram_sample_cap must be positive");
   RAGO_REQUIRE(alerts == nullptr || timeseries != nullptr,
                "burn-rate alerting requires a telemetry time-series");
   cache.Validate();

@@ -139,9 +139,8 @@ struct RuntimeOptions {
    * Optional burn-rate alerting (serving/obs/slo_alerts.h). Requires
    * `timeseries`; each closed fine window is fed to the engine and the
    * resulting transitions are emitted as trace instants (when tracing)
-   * and flight records (when flying). Observation-only unless the
-   * engine's fold_into_digest opts the transitions into the outcome
-   * digest. Not owned; must outlive Serve.
+   * and flight records (when flying). Observation-only: transitions
+   * never reach the outcome digest. Not owned; must outlive Serve.
    */
   obs::SloAlertEngine* alerts = nullptr;
   /**
@@ -154,15 +153,6 @@ struct RuntimeOptions {
   obs::FlightRecorder* flight = nullptr;
   /// Dump target for the flight recorder on abort; empty = no dump.
   std::string flight_dump_path;
-  /**
-   * Exact samples each latency recorder (TTFT/TPOT/queue-wait, per
-   * stage and aggregate) keeps before folding into the bounded
-   * streaming representation (common/histogram.h). The switchover is
-   * a pure function of the sample count — deterministic across thread
-   * counts — and is surfaced via RuntimeResult::streaming_histograms.
-   * Must be positive.
-   */
-  int64_t histogram_sample_cap = Histogram::kDefaultSampleCap;
 
   /// Throws ConfigError on invalid knobs.
   void Validate() const;
@@ -239,13 +229,6 @@ struct RuntimeResult {
   cache::CacheCounters retrieval_cache;
   cache::CacheCounters doc_cache;
   double measured_prefix_hit_rate = 0.0;
-
-  /**
-   * Latency recorders that hit RuntimeOptions::histogram_sample_cap
-   * and degraded to bounded streaming percentiles (0 in typical runs:
-   * the switchover is surfaced, never silent).
-   */
-  int streaming_histograms = 0;
 
   /// Engine health (virtual, thread-count invariant): events popped
   /// from the scheduler heap, the heap's largest size, and decode

@@ -160,7 +160,7 @@ LoadTrace(const std::string& path) {
   // so a corrupt header reports ConfigError (below, when arrivals run
   // out) instead of dying in a gigantic allocation.
   trace.arrivals.reserve(std::min<size_t>(count, 1 << 16));
-  double previous = -std::numeric_limits<double>::infinity();
+  double previous = 0.0;  // Arrivals are non-negative and sorted.
   for (size_t i = 0; i < count; ++i) {
     double arrival = 0.0;
     if (std::fscanf(file, "%lg\n", &arrival) != 1 || arrival < previous ||

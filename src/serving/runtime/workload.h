@@ -85,8 +85,8 @@ void SaveTrace(const ArrivalTrace& trace, const std::string& path);
 /**
  * Parses a file written by SaveTrace. Round-trips bit-exactly:
  * LoadTrace(SaveTrace(t)) compares equal to t arrival by arrival.
- * Throws ConfigError on missing files, bad headers, malformed or
- * decreasing arrivals.
+ * Throws ConfigError on missing files, bad headers, and malformed,
+ * negative, non-finite or decreasing arrivals.
  */
 ArrivalTrace LoadTrace(const std::string& path);
 

@@ -6,12 +6,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "retrieval/ann/dataset.h"
 #include "retrieval/ann/flat_index.h"
+#include "retrieval/ann/hnsw_index.h"
 #include "retrieval/ann/ivf_index.h"
 #include "retrieval/ann/ivfpq_index.h"
 #include "retrieval/ann/kernels/distance_kernels.h"
@@ -301,6 +304,69 @@ TEST(ScannTree, ThreeLevelTreeMirrorsPaperShape) {
                                   /*rerank=*/60));
   }
   EXPECT_GT(MeanRecallAtK(results, bed.truth, 10), 0.6);
+}
+
+TEST(ApproximateIndexes, DegenerateShapesMatchFlatWhenSearchedExhaustively) {
+  // k > n, one dimension, and rows repeated five ways (distance ties).
+  // Searched with every list/leaf probed and every candidate re-ranked
+  // (HNSW: ef = n), each approximate backend returns min(k, n)
+  // neighbors at recall 1.0 against FlatIndex. PQ trains 256 centroids
+  // per subspace, so every shape has n = 300 rows.
+  struct Shape {
+    const char* name;
+    Matrix data;
+    size_t k;
+    int pq_subspaces;
+  };
+  Rng rng(41);
+  std::vector<Shape> shapes;
+  shapes.push_back({"k>n", GenUniform(300, 8, rng), 400, 4});
+  shapes.push_back({"dim1", GenUniform(300, 1, rng), 10, 1});
+  const Matrix distinct = GenUniform(60, 8, rng);
+  Matrix repeated(300, 8);
+  for (size_t row = 0; row < repeated.rows(); ++row) {
+    repeated.CopyRowFrom(distinct, row % distinct.rows(), row);
+  }
+  shapes.push_back({"repeated", std::move(repeated), 10, 4});
+
+  for (const Shape& shape : shapes) {
+    const size_t n = shape.data.rows();
+    const int all = static_cast<int>(n);
+    const size_t want = std::min(shape.k, n);
+    const Matrix queries = GenUniform(6, shape.data.dim(), rng);
+    const FlatIndex flat(Copy(shape.data), Metric::kL2);
+
+    Rng build_rng(43);
+    const HnswIndex hnsw(Copy(shape.data), Metric::kL2, HnswOptions{},
+                         build_rng);
+    IvfPqOptions ivfpq_options;
+    ivfpq_options.nlist = 8;
+    ivfpq_options.pq_subspaces = shape.pq_subspaces;
+    const IvfPqIndex ivfpq(Copy(shape.data), ivfpq_options, build_rng);
+    ScannTreeOptions tree_options;
+    tree_options.levels = 2;
+    tree_options.fanout = 4;
+    tree_options.pq_subspaces = shape.pq_subspaces;
+    const ScannTree tree(Copy(shape.data), tree_options, build_rng);
+
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      const float* query = queries.Row(q);
+      const auto truth = flat.Search(query, shape.k);
+      ASSERT_EQ(truth.size(), want) << shape.name;
+      const std::vector<std::pair<const char*, std::vector<Neighbor>>>
+          results = {
+              {"hnsw", hnsw.Search(query, shape.k, all)},
+              {"ivfpq", ivfpq.Search(query, shape.k, ivfpq_options.nlist,
+                                     all)},
+              {"scann", tree.Search(query, shape.k, all, all)},
+          };
+      for (const auto& [backend, got] : results) {
+        EXPECT_EQ(got.size(), want) << shape.name << " " << backend;
+        EXPECT_EQ(RecallAtK(got, truth, shape.k), 1.0)
+            << shape.name << " " << backend << " query " << q;
+      }
+    }
+  }
 }
 
 TEST(Recall, ComputesFractionOfTruthFound) {

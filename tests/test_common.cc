@@ -534,28 +534,15 @@ TEST(Table, NumFormatsSignificantDigits) {
 // Streaming histograms (common/metrics.h)
 // ---------------------------------------------------------------------------
 
-TEST(StreamingHistogram, OptionsValidateRejectsBadPolicies) {
-  StreamingHistogramOptions bad;
-  bad.min_value = 0.0;
-  EXPECT_THROW(bad.Validate(), ConfigError);
-  bad = {};
-  bad.max_value = bad.min_value;
-  EXPECT_THROW(bad.Validate(), ConfigError);
-  bad = {};
-  bad.bins_per_decade = 0;
-  EXPECT_THROW(bad.Validate(), ConfigError);
-  EXPECT_NO_THROW(StreamingHistogramOptions{}.Validate());
-}
-
 TEST(StreamingHistogram, QuantilesAgreeWithExactWithinOneBinRatio) {
   // The bin midpoint convention bounds the quantile error by one bin
-  // ratio, 10^(1/bins_per_decade); p=0/p=1 are exact (clamped to the
+  // ratio, 10^(1/kBinsPerDecade); p=0/p=1 are exact (clamped to the
   // tracked extremes).
   Rng rng(29);
   Histogram exact;
   StreamingHistogram streaming;
   const double bin_ratio =
-      std::pow(10.0, 1.0 / streaming.options().bins_per_decade);
+      std::pow(10.0, 1.0 / StreamingHistogram::kBinsPerDecade);
   for (int i = 0; i < 20000; ++i) {
     // Log-uniform over ~5 decades inside the regular bin range.
     const double value = std::pow(10.0, rng.NextUniform(-4.0, 1.0));
@@ -612,19 +599,11 @@ TEST(StreamingHistogram, MergeIsAssociativeAndCommutative) {
   }
 }
 
-TEST(StreamingHistogram, MergeRejectsMismatchedPolicies) {
-  StreamingHistogramOptions coarse;
-  coarse.bins_per_decade = 8;
-  StreamingHistogram a;
-  StreamingHistogram b(coarse);
-  EXPECT_THROW(a.Merge(b), ConfigError);
-}
-
 TEST(StreamingHistogram, UnderflowOverflowAndNonFiniteLandInEdgeBins) {
   StreamingHistogram hist;
-  const double min = hist.options().min_value;
-  const double max = hist.options().max_value;
-  hist.Add(0.0);                // Below min_value.
+  const double min = StreamingHistogram::kMinValue;
+  const double max = StreamingHistogram::kMaxValue;
+  hist.Add(0.0);                // Below kMinValue.
   hist.Add(-3.0);               // Negative.
   hist.Add(std::nan(""));       // NaN: fails every range check.
   hist.Add(max);                // At the upper edge: overflow.
@@ -649,34 +628,6 @@ TEST(StreamingHistogram, ZeroSampleEdgeCases) {
   EXPECT_EQ(empty.Max(), 0.0);
   EXPECT_EQ(empty.underflow(), 0);
   EXPECT_EQ(empty.overflow(), 0);
-}
-
-TEST(Histogram, SampleCapFoldsIntoStreamingExactlyOnce) {
-  Histogram hist(64);
-  Histogram unbounded;
-  Rng rng(37);
-  for (int i = 0; i < 1000; ++i) {
-    const double value = std::pow(10.0, rng.NextUniform(-3.0, 1.0));
-    hist.Add(value);
-    unbounded.Add(value);
-    EXPECT_EQ(hist.streaming_active(), i + 1 >= 64);
-  }
-  EXPECT_EQ(hist.count(), 1000);
-  EXPECT_FALSE(unbounded.streaming_active());
-  // Mean stays exact across the fold; percentiles degrade by at most
-  // one bin ratio.
-  EXPECT_NEAR(hist.Mean(), unbounded.Mean(),
-              1e-12 * std::fabs(unbounded.Mean()));
-  const double bin_ratio = std::pow(10.0, 1.0 / 32.0);
-  for (double p : {0.5, 0.95}) {
-    EXPECT_LE(hist.Percentile(p), unbounded.Percentile(p) * bin_ratio);
-    EXPECT_GE(hist.Percentile(p), unbounded.Percentile(p) / bin_ratio);
-  }
-}
-
-TEST(Histogram, RejectsNonPositiveSampleCap) {
-  EXPECT_THROW(Histogram(0), ConfigError);
-  EXPECT_THROW(Histogram(-5), ConfigError);
 }
 
 // ---------------------------------------------------------------------------

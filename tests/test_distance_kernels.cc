@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -66,11 +67,15 @@ TEST(DistanceKernels, DispatchReportsConsistentState) {
   }
   ForceScalarGuard guard(false);
   // Priority scalar < avx2 < avx512: the best compiled-in, host-
-  // supported tier wins. (RAGO_KERNEL_VARIANT could cap this below the
-  // probe results, but the ctest environment never sets it.)
-  if (Avx512KernelsCompiled() && CpuSupportsAvx512()) {
+  // supported tier at or below the RAGO_KERNEL_VARIANT cap wins (CI's
+  // avx2 job sets the cap; unset means no cap).
+  const char* cap_env = std::getenv("RAGO_KERNEL_VARIANT");
+  const std::string cap = cap_env == nullptr ? "" : cap_env;
+  const bool allow_avx512 = cap.empty() || cap == "avx512";
+  const bool allow_avx2 = allow_avx512 || cap == "avx2";
+  if (allow_avx512 && Avx512KernelsCompiled() && CpuSupportsAvx512()) {
     EXPECT_STREQ(Active().name, "avx512");
-  } else if (Avx2KernelsCompiled() && CpuSupportsAvx2()) {
+  } else if (allow_avx2 && Avx2KernelsCompiled() && CpuSupportsAvx2()) {
     EXPECT_STREQ(Active().name, "avx2");
   } else {
     EXPECT_STREQ(Active().name, "scalar");

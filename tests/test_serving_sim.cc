@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -92,6 +93,22 @@ TEST(ServingSim, RejectsNegativeBatchTimeout) {
   options.batch_timeout = -0.01;
   EXPECT_THROW(ServePriced(model, schedule, UniformTrace(10, 5.0), options),
                rago::ConfigError);
+}
+
+TEST(ServingSim, RejectsNonFiniteAndNegativeArrivals) {
+  // A NaN arrival would break the event heap's ordering, +inf would
+  // make TTFT inf - inf, and a negative one would inflate its own TTFT.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& arrivals :
+       std::vector<std::vector<double>>{{0.1, nan}, {-1.0}, {inf}}) {
+    ArrivalTrace trace;
+    trace.arrivals = arrivals;
+    EXPECT_THROW(ServePriced(model, schedule, trace, {}),
+                 rago::ConfigError);
+  }
 }
 
 TEST(ServingSim, LowLoadTtftApproachesAnalyticalLatency) {

@@ -114,10 +114,8 @@ class ListScanBench {
     Rng rng(5);
     const rago::ann::Matrix corpus =
         rago::ann::GenClustered(kRows, kDim, 256, 2.5f, rng);
-    rago::ann::KMeansOptions options;
-    options.max_iterations = 4;
     const rago::ann::KMeansResult lists =
-        rago::ann::TrainKMeans(corpus, kLists, rng, options);
+        rago::ann::TrainKMeans(corpus, kLists, rng, /*max_iterations=*/4);
     std::vector<std::vector<size_t>> members(kLists);
     for (size_t i = 0; i < kRows; ++i) {
       members[static_cast<size_t>(lists.assignments[i])].push_back(i);

@@ -22,6 +22,24 @@ retrieval::DatabaseSpec ToDatabaseSpec(const RetrievalConfig& config) {
   return spec;
 }
 
+/**
+ * A stage's StagePerf from the phase cost that prices it: the batch
+ * latency is `latency_multiplier` sequential phase invocations, and
+ * each request consumes `per_request_divisor` units of the phase's
+ * throughput. (Multiplying or dividing by 1.0 is exact.)
+ */
+StagePerf ToStagePerf(const models::PhaseCost& best,
+                      double latency_multiplier = 1.0,
+                      double per_request_divisor = 1.0) {
+  StagePerf perf;
+  perf.latency = latency_multiplier * best.latency;
+  perf.throughput = best.throughput / per_request_divisor;
+  perf.mem_per_chip = best.mem_per_chip;
+  perf.plan = best.plan;
+  perf.feasible = best.feasible;
+  return perf;
+}
+
 }  // namespace
 
 PipelineModel::PipelineModel(RAGSchema schema, ClusterConfig cluster)
@@ -83,7 +101,6 @@ PipelineModel::EvalChainStage(StageType stage, int chips,
                               int64_t batch) const {
   RAGO_REQUIRE(chips > 0 && batch > 0, "chips and batch must be positive");
   const WorkloadConfig& w = schema_.workload;
-  StagePerf perf;
 
   switch (stage) {
     case StageType::kDatabaseEncode: {
@@ -92,22 +109,12 @@ PipelineModel::EvalChainStage(StageType stage, int chips,
       const int64_t chunks = CeilDiv(w.context_tokens, w.encode_chunk_tokens);
       const models::PhaseCost best = ModelFor(stage).BestEncode(
           chips, batch * chunks, w.encode_chunk_tokens);
-      perf.latency = best.latency;
-      perf.throughput = best.throughput / static_cast<double>(chunks);
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
-      return perf;
+      return ToStagePerf(best, 1.0, static_cast<double>(chunks));
     }
     case StageType::kRewritePrefix: {
       const models::PhaseCost best =
           ModelFor(stage).BestPrefix(chips, batch, w.question_tokens);
-      perf.latency = best.latency;
-      perf.throughput = best.throughput;
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
-      return perf;
+      return ToStagePerf(best);
     }
     case StageType::kRewriteDecode: {
       // Autoregressive generation of the rewritten query.
@@ -116,24 +123,15 @@ PipelineModel::EvalChainStage(StageType stage, int chips,
       const int64_t max_ctx = w.question_tokens + steps;
       const models::PhaseCost best =
           ModelFor(stage).BestDecode(chips, batch, avg_ctx, max_ctx);
-      perf.latency = static_cast<double>(steps) * best.latency;
-      perf.throughput = best.throughput / static_cast<double>(steps);
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
-      return perf;
+      return ToStagePerf(best, static_cast<double>(steps),
+                         static_cast<double>(steps));
     }
     case StageType::kRerank: {
       // Score rerank_candidates passages of passage_tokens each.
       const int64_t passages = w.rerank_candidates;
       const models::PhaseCost best = ModelFor(stage).BestEncode(
           chips, batch * passages, w.passage_tokens);
-      perf.latency = best.latency;
-      perf.throughput = best.throughput / static_cast<double>(passages);
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
-      return perf;
+      return ToStagePerf(best, 1.0, static_cast<double>(passages));
     }
     case StageType::kPrefix:
       return EvalPrefixCached(chips, batch, w.prefix_cache_hit_rate);
@@ -141,7 +139,7 @@ PipelineModel::EvalChainStage(StageType stage, int chips,
     case StageType::kDecode:
       RAGO_REQUIRE(false, "EvalChainStage handles prefix-chain stages only");
   }
-  return perf;
+  return StagePerf{};
 }
 
 StagePerf
@@ -172,13 +170,7 @@ PipelineModel::EvalPrefixCached(int chips, int64_t batch,
   const models::PhaseCost best = ModelFor(StageType::kPrefix)
                                      .BestPrefix(chips, batch,
                                                  prefix_tokens, mode);
-  StagePerf perf;
-  perf.latency = best.latency;
-  perf.throughput = best.throughput;
-  perf.mem_per_chip = best.mem_per_chip;
-  perf.plan = best.plan;
-  perf.feasible = best.feasible;
-  return perf;
+  return ToStagePerf(best);
 }
 
 StagePerf
@@ -186,13 +178,8 @@ PipelineModel::EvalDecode(int chips, int64_t batch) const {
   const int64_t steps = schema_.workload.decode_tokens;
   const models::PhaseCost best =
       llm_->BestDecode(chips, batch, AvgDecodeContext(), MaxDecodeContext());
-  StagePerf perf;
-  perf.latency = best.latency;  // One step: the TPOT building block.
-  perf.throughput = best.throughput / static_cast<double>(steps);
-  perf.mem_per_chip = best.mem_per_chip;
-  perf.plan = best.plan;
-  perf.feasible = best.feasible;
-  return perf;
+  // Latency is one step: the TPOT building block.
+  return ToStagePerf(best, 1.0, static_cast<double>(steps));
 }
 
 size_t
@@ -267,13 +254,7 @@ PipelineModel::EvalIngestPrefix(int chips, int64_t batch) const {
       static_cast<int64_t>(w.neighbors) * w.passage_tokens;
   const models::PhaseCost best =
       llm_->BestPrefix(chips, batch, ingest_tokens);
-  StagePerf perf;
-  perf.latency = best.latency;
-  perf.throughput = best.throughput;
-  perf.mem_per_chip = best.mem_per_chip;
-  perf.plan = best.plan;
-  perf.feasible = best.feasible;
-  return perf;
+  return ToStagePerf(best);
 }
 
 StagePerfProvider

@@ -28,9 +28,8 @@ namespace rago::ann {
 
 /// HNSW build parameters.
 struct HnswOptions {
-  int max_degree = 16;           ///< M: links per node above layer 0.
-  int ef_construction = 64;      ///< Beam width during insertion.
-  double level_multiplier = 0.0; ///< 0 -> default 1/ln(M).
+  int max_degree = 16;       ///< M: links per node above layer 0.
+  int ef_construction = 64;  ///< Beam width during insertion.
 };
 
 /// In-memory HNSW graph over an owned vector matrix.
@@ -113,7 +112,7 @@ class HnswIndex {
   Matrix data_;
   Metric metric_;
   HnswOptions options_;
-  double level_multiplier_ = 0.0;
+  double level_scale_ = 0.0;  ///< 1/ln(M).
   std::vector<Node> nodes_;
   int32_t entry_point_ = -1;
   int max_level_ = -1;

@@ -7,6 +7,12 @@
 #include "retrieval/ann/kernels/distance_kernels.h"
 
 namespace rago::ann {
+namespace {
+
+/// Lloyd iterations for the coarse quantizer.
+constexpr int kKMeansIterations = 10;
+
+}  // namespace
 
 IvfIndex::IvfIndex(Matrix data, Metric metric, const IvfOptions& options,
                    Rng& rng)
@@ -17,9 +23,7 @@ IvfIndex::IvfIndex(Matrix data, Metric metric, const IvfOptions& options,
   RAGO_REQUIRE(static_cast<size_t>(options.nlist) <= data.rows(),
                "nlist cannot exceed the database size");
 
-  KMeansOptions kmeans_options;
-  kmeans_options.max_iterations = options.kmeans_iterations;
-  KMeansResult trained = TrainKMeans(data, nlist_, rng, kmeans_options);
+  KMeansResult trained = TrainKMeans(data, nlist_, rng, kKMeansIterations);
   centroids_ = std::move(trained.centroids);
 
   lists_.resize(static_cast<size_t>(nlist_));

@@ -33,8 +33,7 @@ namespace rago::ann {
 
 /// IVF build parameters.
 struct IvfOptions {
-  int nlist = 64;          ///< Number of coarse clusters.
-  int kmeans_iterations = 10;
+  int nlist = 64;  ///< Number of coarse clusters.
 };
 
 /// What a batch of list scans read, in rows.

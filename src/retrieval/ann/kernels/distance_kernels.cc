@@ -113,18 +113,10 @@ const KernelTable kScalarTable = {
 };
 
 // ---------------------------------------------------------------------------
-// Dispatch state. The force-scalar flag seeds from the environment on
-// first query; SetForceScalar overrides it afterwards.
+// Dispatch state: the in-process force-scalar override (SetForceScalar).
 // ---------------------------------------------------------------------------
 
-// -1 = unresolved (read the environment), 0 = dispatched, 1 = scalar.
-std::atomic<int> g_force_scalar{-1};
-
-bool EnvForcesScalar() {
-  const char* value = std::getenv("RAGO_FORCE_SCALAR_KERNELS");
-  return value != nullptr && value[0] != '\0' &&
-         std::strcmp(value, "0") != 0;
-}
+std::atomic<bool> g_force_scalar{false};
 
 /// Dispatch priority tiers: scalar < avx2 < avx512.
 enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
@@ -468,17 +460,12 @@ VariantByName(const char* name) {
 
 void
 SetForceScalar(bool force) {
-  g_force_scalar.store(force ? 1 : 0, std::memory_order_relaxed);
+  g_force_scalar.store(force, std::memory_order_relaxed);
 }
 
 bool
 ForceScalarActive() {
-  int state = g_force_scalar.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = EnvForcesScalar() ? 1 : 0;
-    g_force_scalar.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
+  return g_force_scalar.load(std::memory_order_relaxed);
 }
 
 const KernelTable&

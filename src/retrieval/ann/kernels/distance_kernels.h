@@ -26,7 +26,7 @@
  * ScanRowsIntoTopK / ...) and automatically run on the fastest
  * compiled-in kernels the host supports. The RAGO_KERNEL_VARIANT
  * environment variable ("scalar", "avx2", or "avx512") caps the
- * dispatched tier for benchmarking a specific variant.
+ * dispatched tier for benchmarking or pinning a specific variant.
  *
  * Determinism contract:
  *  - Within one variant, the batch and tile kernels produce
@@ -43,9 +43,9 @@
  *    compute identical distances within a variant, so duplicate
  *    tie-breaks never diverge. Approximate paths are pinned by recall
  *    parity. For guaranteed bit-exact cross-architecture
- *    reproducibility, force the scalar kernels via
- *    SetForceScalar(true) or the RAGO_FORCE_SCALAR_KERNELS=1
- *    environment variable.
+ *    reproducibility, select the scalar kernels with
+ *    RAGO_KERNEL_VARIANT=scalar, or in-process with
+ *    SetForceScalar(true).
  *  - The ulp caveat never applies to ADC: the ADC kernel accumulates
  *    table entries in subspace order s = 0..m-1 with lane-independent
  *    adds in every variant, so ADC distances are bit-identical across
@@ -173,24 +173,23 @@ bool CpuSupportsAvx512();
 const KernelTable* VariantByName(const char* name);
 
 /**
- * Forces the scalar kernels regardless of CPU support (bit-exact
- * cross-architecture reproducibility). Overrides the
- * RAGO_FORCE_SCALAR_KERNELS environment variable, which seeds the
- * initial state (any value other than empty/"0" forces scalar).
+ * Forces the scalar kernels regardless of CPU support and of
+ * RAGO_KERNEL_VARIANT (bit-exact cross-architecture reproducibility);
+ * off at process start.
  */
 void SetForceScalar(bool force);
 
-/// Current force-scalar state (after env-variable resolution).
+/// Current force-scalar state.
 bool ForceScalarActive();
 
 /**
  * The active kernel table: the highest-priority variant (scalar <
  * avx2 < avx512) that is compiled in and supported by the host, unless
- * forced off. SetForceScalar / RAGO_FORCE_SCALAR_KERNELS pins scalar;
- * otherwise the RAGO_KERNEL_VARIANT environment variable ("scalar",
- * "avx2", "avx512"; read once on first dispatch, any other value
- * throws ConfigError) caps the tier, falling back to the best
- * available at or below the cap. Cheap enough to call per scan.
+ * forced off. SetForceScalar(true) pins scalar; otherwise the
+ * RAGO_KERNEL_VARIANT environment variable ("scalar", "avx2",
+ * "avx512"; read once on first dispatch, any other value throws
+ * ConfigError) caps the tier, falling back to the best available at or
+ * below the cap. Cheap enough to call per scan.
  */
 const KernelTable& Active();
 

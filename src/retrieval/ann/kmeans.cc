@@ -14,6 +14,10 @@ namespace {
 /// centroid block is streamed once per 8 points.
 constexpr size_t kAssignTile = 8;
 
+/// Training stops once the relative inertia improvement drops below
+/// this.
+constexpr double kTolerance = 1e-4;
+
 /// k-means++ seeding: each new centroid is drawn proportionally to the
 /// squared distance from the nearest already-chosen centroid.
 Matrix SeedPlusPlus(const Matrix& data, int k, Rng& rng) {
@@ -56,15 +60,6 @@ Matrix SeedPlusPlus(const Matrix& data, int k, Rng& rng) {
   return centroids;
 }
 
-Matrix SeedRandom(const Matrix& data, int k, Rng& rng) {
-  Matrix centroids(static_cast<size_t>(k), data.dim());
-  for (int c = 0; c < k; ++c) {
-    centroids.CopyRowFrom(data, rng.NextBounded(data.rows()),
-                          static_cast<size_t>(c));
-  }
-  return centroids;
-}
-
 }  // namespace
 
 int32_t
@@ -74,7 +69,7 @@ NearestCentroid(const Matrix& centroids, const float* vec) {
 }
 
 KMeansResult
-TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
+TrainKMeans(const Matrix& data, int k, Rng& rng, int max_iterations) {
   RAGO_REQUIRE(k > 0, "k must be positive");
   RAGO_REQUIRE(static_cast<size_t>(k) <= data.rows(),
                "k-means requires at least k input rows");
@@ -83,8 +78,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
   const auto num_centroids = static_cast<size_t>(k);
 
   KMeansResult result;
-  result.centroids = options.plus_plus_seeding ? SeedPlusPlus(data, k, rng)
-                                               : SeedRandom(data, k, rng);
+  result.centroids = SeedPlusPlus(data, k, rng);
   result.assignments.assign(n, 0);
 
   std::vector<double> sums(num_centroids * dim);
@@ -92,7 +86,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
   std::vector<float> tile_dists(kAssignTile * num_centroids);
   double prev_inertia = std::numeric_limits<double>::max();
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations_run = iter + 1;
     // Assignment step: micro-tile the points against the centroid
     // block, then argmin each point's distance row (first index wins
@@ -164,7 +158,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
     if (prev_inertia < std::numeric_limits<double>::max()) {
       const double rel =
           (prev_inertia - inertia) / std::max(prev_inertia, 1e-30);
-      if (rel >= 0.0 && rel < options.tolerance) {
+      if (rel >= 0.0 && rel < kTolerance) {
         break;
       }
     }

@@ -25,24 +25,17 @@ struct KMeansResult {
   int iterations_run = 0;
 };
 
-/// Tuning knobs for k-means training.
-struct KMeansOptions {
-  int max_iterations = 20;
-  /// Stop early when relative inertia improvement drops below this.
-  double tolerance = 1e-4;
-  /// Use k-means++ seeding (otherwise uniform random rows).
-  bool plus_plus_seeding = true;
-};
-
 /**
- * Trains k centroids over `data`.
+ * Trains k centroids over `data` with at most `max_iterations` Lloyd
+ * rounds, stopping early once the relative inertia improvement drops
+ * below 1e-4.
  *
  * Empty clusters are re-seeded from the point farthest from its
  * centroid, so exactly k non-degenerate centroids are returned even on
  * adversarial data (k must not exceed the number of rows).
  */
 KMeansResult TrainKMeans(const Matrix& data, int k, Rng& rng,
-                         const KMeansOptions& options = {});
+                         int max_iterations = 20);
 
 /// Index of the centroid nearest to `vec` (L2).
 int32_t NearestCentroid(const Matrix& centroids, const float* vec);

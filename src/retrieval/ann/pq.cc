@@ -24,8 +24,6 @@ ProductQuantizer::ProductQuantizer(const Matrix& data, int m, Rng& rng,
   codebooks_.resize(static_cast<size_t>(m_) * kCentroids * sub_dim_);
 
   // Train an independent k-means codebook per subspace.
-  KMeansOptions options;
-  options.max_iterations = kmeans_iterations;
   for (int s = 0; s < m_; ++s) {
     Matrix sub(data.rows(), sub_dim_);
     for (size_t i = 0; i < data.rows(); ++i) {
@@ -33,7 +31,8 @@ ProductQuantizer::ProductQuantizer(const Matrix& data, int m, Rng& rng,
       float* dst = sub.Row(i);
       std::copy(row, row + sub_dim_, dst);
     }
-    const KMeansResult trained = TrainKMeans(sub, kCentroids, rng, options);
+    const KMeansResult trained =
+        TrainKMeans(sub, kCentroids, rng, kmeans_iterations);
     for (int c = 0; c < kCentroids; ++c) {
       const float* src = trained.centroids.Row(static_cast<size_t>(c));
       float* dst = codebooks_.data() +

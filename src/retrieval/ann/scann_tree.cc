@@ -8,6 +8,12 @@
 #include "retrieval/ann/rerank.h"
 
 namespace rago::ann {
+namespace {
+
+/// Lloyd iterations for the PQ codebook and each internal node.
+constexpr int kKMeansIterations = 8;
+
+}  // namespace
 
 ScannTree::ScannTree(Matrix data, const ScannTreeOptions& options, Rng& rng)
     : options_(options), num_vectors_(data.rows()) {
@@ -18,17 +24,14 @@ ScannTree::ScannTree(Matrix data, const ScannTreeOptions& options, Rng& rng)
   // A single global PQ codebook (non-residual) keeps the ADC table
   // per-query instead of per-leaf, matching ScaNN's flat scoring path.
   pq_ = std::make_unique<ProductQuantizer>(data, options.pq_subspaces, rng,
-                                           options.kmeans_iterations);
+                                           kKMeansIterations);
 
   std::vector<int64_t> all_ids(data.rows());
   for (size_t i = 0; i < data.rows(); ++i) {
     all_ids[i] = static_cast<int64_t>(i);
   }
   root_ = BuildNode(data, all_ids, /*level=*/0, rng);
-
-  if (options.keep_raw_vectors) {
-    raw_ = std::move(data);
-  }
+  raw_ = std::move(data);
 }
 
 std::unique_ptr<ScannTree::Node>
@@ -58,9 +61,7 @@ ScannTree::BuildNode(const Matrix& data, const std::vector<int64_t>& ids,
   }
   const int k = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(options_.fanout), ids.size()));
-  KMeansOptions kmeans_options;
-  kmeans_options.max_iterations = options_.kmeans_iterations;
-  KMeansResult trained = TrainKMeans(subset, k, rng, kmeans_options);
+  KMeansResult trained = TrainKMeans(subset, k, rng, kKMeansIterations);
 
   std::vector<std::vector<int64_t>> partitions(static_cast<size_t>(k));
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -87,8 +88,6 @@ ScannTree::BuildNode(const Matrix& data, const std::vector<int64_t>& ids,
 std::vector<Neighbor>
 ScannTree::Search(const float* query, size_t k, int beam, int rerank) const {
   RAGO_REQUIRE(beam > 0, "beam width must be positive");
-  RAGO_REQUIRE(rerank == 0 || !raw_.empty(),
-               "re-ranking requires keep_raw_vectors at build time");
 
   // Beam search down the centroid levels; each node's centroid block is
   // contiguous, so scoring a frontier is one batched scan per node.

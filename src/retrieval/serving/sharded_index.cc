@@ -8,12 +8,20 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "hardware/cpu_server.h"
 #include "retrieval/ann/flat_index.h"
 
 namespace rago::serving {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Queries per (shard x query-block) task. Sub-shard splitting keeps
+/// workers busy when large batches land on few shards; the block size
+/// is fixed (never derived from the thread count) so the task
+/// decomposition — and therefore the merged results and scan-byte
+/// accounting — is identical for every pool size.
+constexpr size_t kQueryBlock = 32;
 
 double SecondsSince(Clock::time_point start) {
   // Measurement only: feeds ShardSearchStats wall_s for calibration,
@@ -41,8 +49,8 @@ class ShardEngine {
 
 class FlatEngine : public ShardEngine {
  public:
-  FlatEngine(ann::Matrix data, ann::Metric metric)
-      : index_(std::move(data), metric) {}
+  explicit FlatEngine(ann::Matrix data)
+      : index_(std::move(data), ann::Metric::kL2) {}
 
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
@@ -63,13 +71,12 @@ class FlatEngine : public ShardEngine {
 
 class IvfEngine : public ShardEngine {
  public:
-  IvfEngine(ann::Matrix data, ann::Metric metric, ann::IvfOptions options,
-            int nprobe, Rng& rng)
+  IvfEngine(ann::Matrix data, ann::IvfOptions options, int nprobe, Rng& rng)
       : nprobe_(nprobe), dim_(data.dim()) {
     options.nlist = std::max(
         1, std::min(options.nlist, static_cast<int>(data.rows())));
-    index_ = std::make_unique<ann::IvfIndex>(std::move(data), metric,
-                                             options, rng);
+    index_ = std::make_unique<ann::IvfIndex>(
+        std::move(data), ann::Metric::kL2, options, rng);
   }
 
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
@@ -141,10 +148,10 @@ class IvfPqEngine : public ShardEngine {
 
 class HnswEngine : public ShardEngine {
  public:
-  HnswEngine(ann::Matrix data, ann::Metric metric,
-             const ann::HnswOptions& options, int ef_search, Rng& rng)
+  HnswEngine(ann::Matrix data, const ann::HnswOptions& options,
+             int ef_search, Rng& rng)
       : ef_search_(ef_search), dim_(data.dim()),
-        index_(std::move(data), metric, options, rng) {}
+        index_(std::move(data), ann::Metric::kL2, options, rng) {}
 
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
@@ -215,18 +222,17 @@ std::unique_ptr<ShardEngine> BuildEngine(ann::Matrix data,
                                          Rng& rng) {
   switch (options.backend) {
     case ShardBackend::kFlat:
-      return std::make_unique<FlatEngine>(std::move(data), options.metric);
+      return std::make_unique<FlatEngine>(std::move(data));
     case ShardBackend::kIvf:
-      return std::make_unique<IvfEngine>(std::move(data), options.metric,
-                                         options.ivf, options.nprobe, rng);
+      return std::make_unique<IvfEngine>(std::move(data), options.ivf,
+                                         options.nprobe, rng);
     case ShardBackend::kIvfPq:
       return std::make_unique<IvfPqEngine>(std::move(data), options.ivfpq,
                                            options.nprobe, options.rerank,
                                            rng);
     case ShardBackend::kHnsw:
-      return std::make_unique<HnswEngine>(std::move(data), options.metric,
-                                          options.hnsw, options.ef_search,
-                                          rng);
+      return std::make_unique<HnswEngine>(std::move(data), options.hnsw,
+                                          options.ef_search, rng);
     case ShardBackend::kScannTree:
       return std::make_unique<ScannTreeEngine>(std::move(data), options.tree,
                                                options.beam, options.rerank,
@@ -300,12 +306,10 @@ ShardedIndex::ShardedIndex(ann::Matrix data,
   RAGO_REQUIRE(options_.num_shards >= 1, "need at least one shard");
   RAGO_REQUIRE(options_.num_threads >= 0,
                "num_threads must be >= 0 (0 = hardware concurrency)");
-  RAGO_REQUIRE(options_.query_block >= 1,
-               "query_block must be >= 1");
   if (options_.modeled_db.has_value()) {
     options_.modeled_db->Validate();
     const int min_servers = retrieval::ScannModel::MinServersForCapacity(
-        *options_.modeled_db, options_.modeled_server);
+        *options_.modeled_db, DefaultCpuServer());
     RAGO_REQUIRE(
         options_.num_shards >= min_servers,
         "shard count under-provisions the modeled database: " +
@@ -370,12 +374,10 @@ ShardedIndex::SearchBatch(const ann::Matrix& queries, size_t k,
   const size_t num_queries = queries.rows();
   const size_t num_shards = shards_.size();
 
-  // --- Scatter: (shard x query-block) tasks into task-indexed slots.
-  // Sub-shard blocks keep workers busy when a large batch lands on few
-  // shards; the fixed block size makes the decomposition — and all
-  // block-ordered accumulation below — thread-count-invariant. ---
-  const size_t block = static_cast<size_t>(options_.query_block);
-  const size_t num_blocks = (num_queries + block - 1) / block;
+  // --- Scatter: (shard x query-block) tasks into task-indexed slots;
+  // the fixed block size makes all block-ordered accumulation below
+  // thread-count-invariant. ---
+  const size_t num_blocks = (num_queries + kQueryBlock - 1) / kQueryBlock;
   struct BlockResult {
     std::vector<std::vector<ann::Neighbor>> results;
     double scan_bytes = 0.0;
@@ -393,8 +395,8 @@ ShardedIndex::SearchBatch(const ann::Matrix& queries, size_t k,
   if (num_blocks > 1) {
     chunks.reserve(num_blocks);
     for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t begin = b * block;
-      const size_t end = std::min(num_queries, begin + block);
+      const size_t begin = b * kQueryBlock;
+      const size_t end = std::min(num_queries, begin + kQueryBlock);
       ann::Matrix chunk(end - begin, dim_);
       for (size_t i = begin; i < end; ++i) {
         chunk.CopyRowFrom(queries, i, i - begin);
@@ -443,8 +445,8 @@ ShardedIndex::SearchBatch(const ann::Matrix& queries, size_t k,
   std::vector<std::vector<ann::Neighbor>> merged(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     ann::TopK topk(k);
-    const size_t b = q / block;
-    const size_t offset = q % block;
+    const size_t b = q / kQueryBlock;
+    const size_t offset = q % kQueryBlock;
     for (size_t s = 0; s < num_shards; ++s) {
       const BlockResult& slot = blocks[s * num_blocks + b];
       if (slot.results.empty()) {

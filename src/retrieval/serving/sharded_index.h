@@ -1,6 +1,6 @@
 /**
  * @file sharded_index.h
- * Scatter-gather ANN search over a sharded in-memory database.
+ * Scatter-gather L2 ANN search over a sharded in-memory database.
  *
  * Functional counterpart of the paper's multi-server retrieval tier
  * (§3.3): the database is partitioned across N logical servers, every
@@ -14,8 +14,9 @@
  * multi-server scans against the analytical ScannModel.
  *
  * Determinism contract: given a fixed options.seed, build and search
- * results are identical for every thread count (block results land in
- * (shard x query-block)-indexed slots; the merge visits shards in
+ * results are identical for every thread count (batches split into
+ * fixed blocks of 32 queries, never sized by the thread count; block
+ * results land in (shard x query-block)-indexed slots; the merge visits shards in
  * order; per-shard build RNG streams derive from Rng::DeriveSeed).
  */
 #ifndef RAGO_RETRIEVAL_SERVING_SHARDED_INDEX_H
@@ -28,8 +29,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "hardware/cpu_server.h"
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/hnsw_index.h"
 #include "retrieval/ann/ivf_index.h"
 #include "retrieval/ann/ivfpq_index.h"
@@ -57,7 +56,6 @@ struct ShardedIndexOptions {
   int num_shards = 4;
   PartitionerKind partitioner = PartitionerKind::kRoundRobin;
   ShardBackend backend = ShardBackend::kFlat;
-  ann::Metric metric = ann::Metric::kL2;
   /// Base seed; per-shard build streams derive deterministically.
   uint64_t seed = 0x5ca77e2;
 
@@ -67,14 +65,6 @@ struct ShardedIndexOptions {
    * lazily on first use; an explicitly passed pool always wins.
    */
   int num_threads = 0;
-  /**
-   * Queries per (shard x query-block) task. Sub-shard splitting keeps
-   * workers busy when large batches land on few shards; the block size
-   * is a fixed knob (never derived from the thread count) so the task
-   * decomposition — and therefore the merged results and scan-byte
-   * accounting — is identical for every pool size.
-   */
-  int query_block = 32;
 
   // Backend knobs (only the matching backend's fields are read).
   ann::IvfOptions ivf;
@@ -89,12 +79,11 @@ struct ShardedIndexOptions {
   /**
    * Optional capacity check: when set, the shard count must cover the
    * modeled database's DRAM footprint
-   * (ScannModel::MinServersForCapacity on `modeled_server`), so
+   * (ScannModel::MinServersForCapacity on DefaultCpuServer()), so
    * under-provisioned configurations fail loudly at build time instead
    * of silently mispricing the tier they stand in for.
    */
   std::optional<retrieval::DatabaseSpec> modeled_db;
-  CpuServerSpec modeled_server = DefaultCpuServer();
 };
 
 /// Instrumentation of one shard during a batch search.

@@ -9,8 +9,6 @@ void
 CacheOptions::Validate() const {
   RAGO_REQUIRE(retrieval_capacity >= 0,
                "retrieval cache capacity must be >= 0 (0 disables)");
-  RAGO_REQUIRE(lookup_seconds >= 0,
-               "cache lookup cost must be non-negative");
   RAGO_REQUIRE(doc_capacity >= 0,
                "doc cache capacity must be >= 0 (0 disables)");
 }

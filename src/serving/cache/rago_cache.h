@@ -41,21 +41,20 @@
 
 namespace rago::cache {
 
+/// Virtual seconds charged to a retrieval-cache hit in place of the
+/// skipped batch wait + scan (the fast-path lookup cost).
+constexpr double kLookupSeconds = 20e-6;
+
 /// Configuration of the runtime's cache tier. Zero capacities disable
 /// the corresponding level (the default: bit-identical serving to a
 /// runtime without a cache tier).
 struct CacheOptions {
   /// Retrieval-result cache capacity in entries (requests); 0 = off.
   int64_t retrieval_capacity = 0;
-  /**
-   * Virtual seconds charged to a retrieval-cache hit in place of the
-   * skipped batch wait + scan (the fast-path lookup cost).
-   */
-  double lookup_seconds = 20e-6;
   /// Document/prefix KV cache capacity in documents; 0 = off.
   int64_t doc_capacity = 0;
 
-  /// Throws ConfigError on negative capacities or lookup cost.
+  /// Throws ConfigError on negative capacities.
   void Validate() const;
 };
 

@@ -67,9 +67,11 @@ FlightRecorder::DumpToFile(const std::string& path) const {
   RAGO_REQUIRE(file != nullptr,
                "cannot open flight-recorder dump for write: " + path);
   const std::string body = Json();
-  std::fwrite(body.data(), 1, body.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
+  bool ok = std::fwrite(body.data(), 1, body.size(), file) == body.size();
+  ok = std::fputc('\n', file) != EOF && ok;
+  // fclose flushes the buffered tail: a full disk often fails only here.
+  ok = std::fclose(file) == 0 && ok;
+  RAGO_REQUIRE(ok, "cannot write flight-recorder dump: " + path);
 }
 
 }  // namespace rago::obs

@@ -24,6 +24,10 @@ using core::StageType;
 
 using Clock = std::chrono::steady_clock;
 
+/// Seeds the query-vector assignment stream (request -> pool row) of
+/// the Serve overload that takes no QueryStream.
+constexpr uint64_t kQueryAssignmentSeed = 0x5eed;
+
 double SecondsSince(Clock::time_point start) {
   // Measurement only: real-scan wall-clock telemetry, never virtual
   // time or control flow. rago-lint: allow(wallclock)
@@ -598,10 +602,9 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
         record_retrieval(request, cached->neighbors);
         if (trace != nullptr) {
           trace->AddComplete(names.cache_hit, names.cache, 1, request, now,
-                             options.cache.lookup_seconds, request);
+                             cache::kLookupSeconds, request);
         }
-        events.push(Event{now + options.cache.lookup_seconds, 4,
-                          request});
+        events.push(Event{now + cache::kLookupSeconds, 4, request});
         return;
       }
     }
@@ -695,21 +698,17 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
   };
 
   // On any exception below (including RAGO_CHECK invariant failures)
-  // dump the flight recorder before unwinding, so the last moments of
-  // the run survive the crash.
+  // note the abort in the flight recorder before unwinding, so a dump
+  // of the ring shows how the run ended.
   struct FlightAbortGuard {
     obs::FlightRecorder* flight;
-    const std::string* path;
     const double* now;
     ~FlightAbortGuard() {
       if (flight != nullptr && std::uncaught_exceptions() > 0) {
         flight->Append(*now, "exception", "serve aborted by exception");
-        if (!path->empty()) {
-          flight->DumpToFile(*path);
-        }
       }
     }
-  } flight_abort_guard{flight, &options.flight_dump_path, &now};
+  } flight_abort_guard{flight, &now};
 
   // Pops the next event, advances the virtual clock to it (closing the
   // telemetry windows it passes) and handles it. Tracks the heap's
@@ -814,9 +813,6 @@ RunEventLoop(const PipelineModel& model, const core::Schedule& schedule,
     flight->Append(now, "note",
                    "serve end: completed=" + std::to_string(completed),
                    static_cast<double>(completed));
-    if (!options.flight_dump_path.empty()) {
-      flight->DumpToFile(options.flight_dump_path);
-    }
   }
 
   // --- Aggregate telemetry (id order: independent of event order). ---
@@ -973,7 +969,7 @@ ServingRuntime::Serve(const ArrivalTrace& workload,
   std::vector<size_t> row_start(workload.arrivals.size());
   for (size_t i = 0; i < row_start.size(); ++i) {
     row_start[i] = static_cast<size_t>(
-        Rng::DeriveSeed(options_.seed, static_cast<uint64_t>(i)) %
+        Rng::DeriveSeed(kQueryAssignmentSeed, static_cast<uint64_t>(i)) %
         query_pool.rows());
   }
   return ServeLive(workload, query_pool, row_start);

@@ -24,7 +24,7 @@
  * serve a schedule chosen by the optimizer over the very same
  * calibrated costs — the end-to-end closed loop on the ROADMAP.
  *
- * Determinism contract (PR-3): a fixed RuntimeOptions::seed yields
+ * Determinism contract: a fixed workload and query assignment yield
  * bit-identical request outcomes (retrieved ids, TTFT/TPOT), telemetry
  * histograms, and the outcome digest for every num_threads, because
  * the scheduler loop is serial on virtual time and ShardedIndex
@@ -78,8 +78,6 @@ struct RuntimeOptions {
   int num_threads = 0;
   /// Neighbors fetched per query vector by the retrieval stage.
   int top_k = 10;
-  /// Seeds the query-vector assignment stream (request -> pool row).
-  uint64_t seed = 0x5eed;
   /// SLO the attainment metric is scored against.
   SloTarget slo;
   /**
@@ -98,7 +96,7 @@ struct RuntimeOptions {
    * Multi-level cache tier (serving/cache/rago_cache.h). With
    * retrieval_capacity > 0, requests whose query fingerprint is cached
    * skip the real scan *and* the retrieval batch entirely: the cached
-   * results are delivered after cache.lookup_seconds and the next
+   * results are delivered after cache::kLookupSeconds and the next
    * stage is enqueued immediately (retrieval/prefill overlap). With
    * doc_capacity > 0, each request's retrieved doc ids are measured
    * against a document KV cache and prefix batches are priced with the
@@ -147,12 +145,11 @@ struct RuntimeOptions {
    * Optional flight recorder (serving/obs/flight_recorder.h): a
    * bounded ring of recent window/alert/rejection/milestone records.
    * When serving aborts (RAGO_CHECK failure or any exception unwinding
-   * the event loop) the ring is dumped to `flight_dump_path` (when
-   * non-empty) before the exception continues. Not owned.
+   * the event loop) an "exception" record is appended before the
+   * exception continues; callers dump the ring with
+   * FlightRecorder::DumpToFile. Not owned.
    */
   obs::FlightRecorder* flight = nullptr;
-  /// Dump target for the flight recorder on abort; empty = no dump.
-  std::string flight_dump_path;
 
   /// Throws ConfigError on invalid knobs.
   void Validate() const;
@@ -277,7 +274,8 @@ class ServingRuntime {
   /**
    * Serves `workload` end to end. Each admitted request draws
    * queries_per_retrieval consecutive rows (wrapping) from
-   * `query_pool`, starting at a seed-derived row, and retrieves
+   * `query_pool`, starting at a seed-derived row (a fixed seed, so
+   * every call assigns the same rows), and retrieves
    * top_k neighbors through the live sharded index.
    */
   RuntimeResult Serve(const ArrivalTrace& workload,
@@ -319,7 +317,7 @@ class ServingRuntime {
  * servers for their modeled service time, but nothing is scanned, so
  * no neighbors are recorded (first_neighbor stays -1). Nonzero cache
  * capacities throw ConfigError (the cache tier needs real results);
- * num_threads, top_k and seed have no effect. Schemas without a
+ * num_threads and top_k have no effect. Schemas without a
  * retrieval stage are accepted. This is the serving DES: every
  * virtual-clock output equals a live Serve's under the same options,
  * and server g's utilization is server_busy_seconds[g] / makespan.

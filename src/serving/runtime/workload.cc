@@ -137,11 +137,14 @@ SaveTrace(const ArrivalTrace& trace, const std::string& path) {
   RAGO_REQUIRE(!trace.arrivals.empty(), "cannot save an empty trace");
   std::FILE* file = std::fopen(path.c_str(), "w");
   RAGO_REQUIRE(file != nullptr, "cannot open trace file for write: " + path);
-  std::fprintf(file, "rago-trace v1 %zu\n", trace.arrivals.size());
+  bool ok =
+      std::fprintf(file, "rago-trace v1 %zu\n", trace.arrivals.size()) >= 0;
   for (double arrival : trace.arrivals) {
-    std::fprintf(file, "%.17g\n", arrival);
+    ok = std::fprintf(file, "%.17g\n", arrival) >= 0 && ok;
   }
-  std::fclose(file);
+  // fclose flushes the buffered tail: a full disk often fails only here.
+  ok = std::fclose(file) == 0 && ok;
+  RAGO_REQUIRE(ok, "cannot write trace file: " + path);
 }
 
 ArrivalTrace

@@ -7,8 +7,8 @@
  * value agreement across remainder-lane dims, batch-vs-tile
  * bit-identity, ADC bit-identity to the scalar oracle, the split-plane
  * slots and scan on a partial tail, and the force-scalar override.
- * CTest runs it twice — dispatched, and with RAGO_FORCE_SCALAR_KERNELS
- * set — so the scalar fallback path stays green on non-AVX runners.
+ * CTest runs it twice — dispatched, and with RAGO_KERNEL_VARIANT=scalar
+ * — so the scalar fallback path stays green on non-AVX runners.
  * Exits 0 on success, 1 on the first failed check.
  */
 #include <cmath>

@@ -37,12 +37,10 @@ TEST(KMeans, InertiaNonIncreasingAcrossRuns) {
   const Matrix data = GenUniform(500, 16, rng);
   Rng r1(3);
   Rng r2(3);
-  KMeansOptions one_iter;
-  one_iter.max_iterations = 1;
-  KMeansOptions many_iter;
-  many_iter.max_iterations = 25;
-  const double early = TrainKMeans(data, 10, r1, one_iter).inertia;
-  const double late = TrainKMeans(data, 10, r2, many_iter).inertia;
+  const double early =
+      TrainKMeans(data, 10, r1, /*max_iterations=*/1).inertia;
+  const double late =
+      TrainKMeans(data, 10, r2, /*max_iterations=*/25).inertia;
   EXPECT_LE(late, early * 1.0001);
 }
 
@@ -117,9 +115,8 @@ TEST(KMeans, KEqualsNGivesZeroInertia) {
   Rng rng(10);
   const Matrix data = GenUniform(16, 4, rng);
   Rng train_rng(11);
-  KMeansOptions options;
-  options.max_iterations = 30;
-  const KMeansResult result = TrainKMeans(data, 16, train_rng, options);
+  const KMeansResult result =
+      TrainKMeans(data, 16, train_rng, /*max_iterations=*/30);
   EXPECT_NEAR(result.inertia, 0.0, 1e-6);
 }
 

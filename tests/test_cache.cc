@@ -61,9 +61,6 @@ TEST(CacheOptionsTest, ValidatesKnobs) {
   options = CacheOptions{};
   options.doc_capacity = -1;
   EXPECT_THROW(options.Validate(), ConfigError);
-  options = CacheOptions{};
-  options.lookup_seconds = -1e-9;
-  EXPECT_THROW(options.Validate(), ConfigError);
   // The runtime folds cache validation into its own options.
   RuntimeOptions runtime_options;
   runtime_options.cache.retrieval_capacity = -4;
@@ -245,7 +242,6 @@ TEST(CacheRuntimeTest, ZeroCapacityCacheServesBitIdenticallyToDefault) {
   RuntimeOptions zeroed = base_options;
   zeroed.cache.retrieval_capacity = 0;
   zeroed.cache.doc_capacity = 0;
-  zeroed.cache.lookup_seconds = 123e-6;  // Irrelevant when disabled.
   const ServingRuntime explicit_off(model, schedule, tier.index, zeroed);
 
   const RuntimeResult a = base.Serve(trace, tier.queries);
@@ -255,13 +251,14 @@ TEST(CacheRuntimeTest, ZeroCapacityCacheServesBitIdenticallyToDefault) {
   EXPECT_EQ(a.doc_cache.insertions, 0);
   EXPECT_DOUBLE_EQ(a.measured_prefix_hit_rate, 0.0);
 
-  // The explicit-stream Serve overload with the seed-derived rows is
-  // the same computation as the legacy two-argument path.
+  // The explicit-stream Serve overload with the rows derived from the
+  // runtime's fixed assignment seed is the same computation as the
+  // legacy two-argument path.
   QueryStream legacy;
   legacy.rows.reserve(trace.arrivals.size());
   for (size_t i = 0; i < trace.arrivals.size(); ++i) {
     legacy.rows.push_back(static_cast<int64_t>(
-        Rng::DeriveSeed(base_options.seed, static_cast<uint64_t>(i)) %
+        Rng::DeriveSeed(0x5eed, static_cast<uint64_t>(i)) %
         tier.queries.rows()));
   }
   const RuntimeResult c = base.Serve(trace, tier.queries, legacy);

@@ -167,11 +167,11 @@ TEST(Determinism, ShardedSearchIsThreadCountInvariant) {
   using rago::serving::ShardedIndex;
   using rago::serving::ShardedIndexOptions;
   using rago::serving::ShardSearchStats;
+  // 70 queries -> 3 blocks of 32 incl. a ragged tail.
   const rago::testing::AnnTestBed bed =
-      rago::testing::MakeAnnTestBed(1200, 8, 37);
+      rago::testing::MakeAnnTestBed(1200, 8, 70);
   ShardedIndexOptions options;
   options.num_shards = 3;
-  options.query_block = 8;  // 37 queries -> 5 blocks incl. a ragged tail.
   options.backend = rago::serving::ShardBackend::kIvfPq;
   options.ivfpq.nlist = 8;
   options.nprobe = 4;

@@ -215,20 +215,6 @@ TEST(Optimizer, IterativeSearchPicksIterativeBatch) {
   EXPECT_GE(result.MaxQpsPerChip().schedule.iterative_batch, 1);
 }
 
-TEST(Optimizer, UniformBatchModeTiesChainBatches) {
-  const core::PipelineModel model(core::MakeLongContextSchema(8, 1'000'000),
-                                  rago::DefaultCluster());
-  SearchOptions options = SmallGrid();
-  options.per_group_batching = false;
-  const OptimizerResult result = Optimizer(model, options).Search();
-  for (const ScheduledPoint& point : result.pareto) {
-    const auto& batches = point.schedule.chain_batch;
-    for (size_t i = 1; i < batches.size(); ++i) {
-      EXPECT_EQ(batches[i], batches[0]);
-    }
-  }
-}
-
 TEST(Optimizer, RejectsNegativeThreadCount) {
   const core::PipelineModel model(core::MakeHyperscaleSchema(8, 1),
                                   rago::DefaultCluster());

@@ -138,6 +138,18 @@ TEST(Workload, TraceFileRoundTripsBitExactly) {
   std::remove(path.c_str());
 }
 
+TEST(Workload, SaveTraceThrowsWhenTheWriteFails) {
+  // /dev/full opens fine and fails every write with ENOSPC, which a
+  // buffered stream first reports at fclose.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  std::fclose(probe);
+  EXPECT_THROW(SaveTrace(PoissonTrace(50, 10.0, 3), "/dev/full"),
+               ConfigError);
+}
+
 TEST(Workload, ZipfianStreamIsSeededAndSkewed) {
   const QueryStream stream = ZipfianQueryStream(5000, 100, 1.1, 9);
   ASSERT_EQ(stream.rows.size(), 5000u);
@@ -784,6 +796,24 @@ TEST(ServingRuntimeTest, ServePricedScansNothingAndRejectsCaches) {
   cached = {};
   cached.cache.doc_capacity = 8;
   EXPECT_THROW(ServePriced(model, schedule, trace, cached), ConfigError);
+}
+
+TEST(ServingRuntimeTest, AbortNotesTheExceptionInTheFlightRecorder) {
+  // A time-series that is already finished rejects the first record
+  // the event loop sends it, so serving aborts mid-run.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const ArrivalTrace trace = PoissonTrace(20, 100.0, 5);
+  obs::TelemetryTimeSeries series(obs::TimeSeriesOptions{});
+  series.Finish(0.0);
+  obs::FlightRecorder flight(16);
+  RuntimeOptions options;
+  options.timeseries = &series;
+  options.flight = &flight;
+  EXPECT_THROW(ServePriced(model, schedule, trace, options), ConfigError);
+  ASSERT_FALSE(flight.records().empty());
+  EXPECT_EQ(flight.records().back().kind, "exception");
+  EXPECT_EQ(flight.records().back().message, "serve aborted by exception");
 }
 
 TEST(ServingRuntimeTest, SloAttainmentMonotoneUnderRisingLoad) {

@@ -13,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "hardware/cpu_server.h"
 #include "retrieval/ann/flat_index.h"
 #include "retrieval/perf/measured_model.h"
 #include "retrieval/serving/calibration.h"
@@ -163,16 +164,15 @@ TEST(ShardedIndex, KLargerThanSomeShardsStillExact) {
 }
 
 TEST(ShardedIndex, QueryBlockSplitStaysExact) {
-  // Sub-shard (shard x query-block) tasks must not change results:
-  // block == 1 (one task per query), a block that leaves a ragged
-  // tail, and a block far larger than the batch all match the oracle.
-  const AnnTestBed bed = MakeAnnTestBed(900, 10, 17);
-  const ann::FlatIndex single(CopyMatrix(bed.data), ann::Metric::kL2);
-  const auto expected = single.SearchBatch(bed.queries, 11);
-  for (int query_block : {1, 3, 5, 1000}) {
+  // Sub-shard (shard x query-block) tasks of 32 queries must not
+  // change results: a single query, exactly one full block, and three
+  // blocks ending in a ragged tail all match the oracle.
+  for (size_t num_queries : {1, 32, 70}) {
+    const AnnTestBed bed = MakeAnnTestBed(900, 10, num_queries);
+    const ann::FlatIndex single(CopyMatrix(bed.data), ann::Metric::kL2);
+    const auto expected = single.SearchBatch(bed.queries, 11);
     ShardedIndexOptions options;
     options.num_shards = 4;
-    options.query_block = query_block;
     const ShardedIndex sharded(CopyMatrix(bed.data), options);
     for (int threads : {1, 4}) {
       ThreadPool pool(threads);
@@ -185,10 +185,9 @@ TEST(ShardedIndex, QueryBlockSplitStaysExact) {
 TEST(ShardedIndex, OwnedPoolMatchesExplicitPoolAndInline) {
   // options.num_threads makes SearchBatch parallel without a caller
   // pool; results must equal both the inline run and an explicit pool.
-  const AnnTestBed bed = MakeAnnTestBed(800, 8, 12);
+  const AnnTestBed bed = MakeAnnTestBed(800, 8, 70);  // Three blocks.
   ShardedIndexOptions options;
   options.num_shards = 3;
-  options.query_block = 4;
 
   options.num_threads = 1;
   const ShardedIndex inline_index(CopyMatrix(bed.data), options);
@@ -206,9 +205,6 @@ TEST(ShardedIndex, OwnedPoolMatchesExplicitPoolAndInline) {
 TEST(ShardedIndex, RejectsDegenerateThreadingOptions) {
   const AnnTestBed bed = MakeAnnTestBed(50, 4, 1);
   ShardedIndexOptions options;
-  options.query_block = 0;
-  EXPECT_THROW(ShardedIndex(CopyMatrix(bed.data), options), ConfigError);
-  options.query_block = 32;
   options.num_threads = -1;
   EXPECT_THROW(ShardedIndex(CopyMatrix(bed.data), options), ConfigError);
 }
@@ -239,10 +235,9 @@ TEST(ShardedIndex, HnswBlocksSearchConcurrentlyAndStayDeterministic) {
   // eval overload removed the whole-search lock); results and the
   // integer eval-based scan-byte accounting must stay thread-count
   // invariant.
-  const AnnTestBed bed = MakeAnnTestBed(1500, 12, 24);
+  const AnnTestBed bed = MakeAnnTestBed(1500, 12, 70);
   ShardedIndexOptions options;
-  options.num_shards = 2;  // Few shards, many blocks per shard.
-  options.query_block = 4;
+  options.num_shards = 2;  // Few shards, three blocks per shard.
   options.backend = ShardBackend::kHnsw;
   options.ef_search = 48;
   options.seed = 33;
@@ -335,17 +330,16 @@ TEST(ShardedIndex, IvfChargesTheBytesItsSplitScanReads) {
   // scored in fp32, and the centroid scan. One shard probing all of
   // its lists reads every row once per query. The charge is integer
   // row counts, so it is thread-count invariant.
-  const AnnTestBed bed = MakeAnnTestBed(1200, 16, 24);
+  const AnnTestBed bed = MakeAnnTestBed(1200, 16, 70);  // Three blocks.
   ShardedIndexOptions options;
   options.num_shards = 1;
   options.backend = ShardBackend::kIvf;
   options.ivf.nlist = 8;
   options.nprobe = 8;
-  options.query_block = 8;
   const ShardedIndex index(CopyMatrix(bed.data), options);
   ShardSearchStats serial;
   index.SearchBatch(bed.queries, 10, nullptr, &serial);
-  const double queries = 24.0;
+  const double queries = 70.0;
   const double plane_row = 16.0 * sizeof(uint16_t);
   const double probed_and_centroids =
       queries * (1200.0 * (plane_row + sizeof(float)) +
@@ -368,15 +362,13 @@ TEST(ShardedIndex, UnderProvisionedShardCountFailsLoudly) {
   // silently misprice.
   const AnnTestBed bed = MakeAnnTestBed(200, 8, 1);
   retrieval::DatabaseSpec db;  // Paper default: 64B vectors, 96 B each.
-  const CpuServerSpec server;
   const int required =
-      retrieval::ScannModel::MinServersForCapacity(db, server);
+      retrieval::ScannModel::MinServersForCapacity(db, DefaultCpuServer());
   ASSERT_GT(required, 1);
 
   ShardedIndexOptions options;
   options.num_shards = 4;
   options.modeled_db = db;
-  options.modeled_server = server;
   try {
     const ShardedIndex sharded(CopyMatrix(bed.data), options);
     FAIL() << "expected ConfigError for under-provisioned shard count";

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -415,6 +416,19 @@ TEST(FlightRecorderTest, JsonAndFileDumpsAreLoadable) {
   const JsonValue from_file = ParseJsonFile(path);
   EXPECT_EQ(from_file.At("records").Items().size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, DumpToFileThrowsWhenTheWriteFails) {
+  // /dev/full opens fine and fails every write with ENOSPC, which a
+  // buffered stream first reports at fclose.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  std::fclose(probe);
+  FlightRecorder flight(8);
+  flight.Append(1.5, "alert", "page FIRING", 12.5);
+  EXPECT_THROW(flight.DumpToFile("/dev/full"), ConfigError);
 }
 
 }  // namespace
